@@ -13,7 +13,7 @@
 #include "bench/bench_util.h"
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/mem/coma.h"
 #include "src/mem/expander.h"
 #include "src/mem/noncc.h"
@@ -22,12 +22,13 @@
 namespace unifab {
 namespace {
 
-// Measures one async op's latency in ns.
+// Measures one async op's latency in ns. The completion ignores any
+// arguments (a coherent port's `ok` flag, for one).
 template <typename F>
 double Measure(Engine& engine, F&& op) {
   const Tick t0 = engine.Now();
   bool done = false;
-  op([&] { done = true; });
+  op([&](auto&&...) { done = true; });
   engine.Run();
   return done ? ToNs(engine.Now() - t0) : -1.0;
 }
@@ -47,37 +48,42 @@ void Row(const char* node, const char* op, double ns, const char* note) {
   }
 }
 
-// Shared fixture: two hosts + FAM directory node on one switch.
+// Shared fixture: two hosts + FAM directory node on one switch. The
+// expander's coherent window spans the whole chassis DRAM.
 struct CoherentRig {
   Engine engine;
   FabricInterconnect fabric{&engine, 21};
   std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<MemoryExpander> expander;
   std::unique_ptr<MessageDispatcher> fea_dispatch;
-  std::unique_ptr<DirectoryController> dir;
+  std::unique_ptr<CoherentDirectory> dir;
   std::unique_ptr<MessageDispatcher> host_dispatch[2];
-  std::unique_ptr<CcNumaPort> port[2];
+  std::unique_ptr<CoherentPort> port[2];
 
   CoherentRig() {
     auto* sw = fabric.AddSwitch(FabrexSwitch(), "sw");
     dram = std::make_unique<DramDevice>(&engine, OmegaLocalDram(), "fam");
+    expander = std::make_unique<MemoryExpander>(&engine, dram.get(), "exp");
+    expander->CreateCoherentWindow(dram->config().capacity_bytes);
     AdapterConfig fea_cfg = OmegaEndpointAdapter();
     fea_cfg.request_proc_latency = FromNs(50);
-    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", dram.get());
+    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", expander.get());
     fabric.Connect(sw, fea, OmegaLink());
     fea_dispatch = std::make_unique<MessageDispatcher>(fea);
 
-    CcNumaConfig cfg;
-    dir = std::make_unique<DirectoryController>(&engine, cfg, fea_dispatch.get(), dram.get(),
-                                                "dir");
+    const CoherentConfig cfg = CoherentConfig::CcNuma();
+    dir = std::make_unique<CoherentDirectory>(&engine, cfg, fea_dispatch.get(), expander.get(),
+                                              "dir");
     for (int i = 0; i < 2; ++i) {
+      const std::string n = std::to_string(i);
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
       fha.response_proc_latency = FromNs(50);
-      auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
+      auto* adapter = fabric.AddHostAdapter(fha, "h" + n);
       fabric.Connect(sw, adapter, OmegaLink());
       host_dispatch[i] = std::make_unique<MessageDispatcher>(adapter);
-      port[i] = std::make_unique<CcNumaPort>(&engine, cfg, host_dispatch[i].get(), dir.get(),
-                                             "p" + std::to_string(i));
+      port[i] = std::make_unique<CoherentPort>(&engine, cfg, host_dispatch[i].get(), dir.get(),
+                                               "p" + n);
     }
     fabric.ConfigureRouting();
   }

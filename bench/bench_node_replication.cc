@@ -16,6 +16,7 @@
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
 #include "src/mem/dram.h"
+#include "src/mem/expander.h"
 #include "src/sim/random.h"
 #include "src/topo/presets.h"
 
@@ -33,23 +34,26 @@ struct Rig {
   explicit Rig(int hosts) : fabric(&engine, 61) {
     auto* sw = fabric.AddSwitch(FabrexSwitch(), "sw");
     dram = std::make_unique<DramDevice>(&engine, OmegaLocalDram(), "fam");
+    expander = std::make_unique<MemoryExpander>(&engine, dram.get(), "exp");
+    expander->CreateCoherentWindow(dram->config().capacity_bytes);
     AdapterConfig fea_cfg = OmegaEndpointAdapter();
     fea_cfg.request_proc_latency = FromNs(50);
-    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", dram.get());
+    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", expander.get());
     fabric.Connect(sw, fea, OmegaLink());
     fea_dispatch = std::make_unique<MessageDispatcher>(fea);
-    CcNumaConfig cfg;
-    dir = std::make_unique<DirectoryController>(&engine, cfg, fea_dispatch.get(), dram.get(),
-                                                "dir");
+    const CoherentConfig cfg = CoherentConfig::CcNuma();
+    dir = std::make_unique<CoherentDirectory>(&engine, cfg, fea_dispatch.get(), expander.get(),
+                                              "dir");
     for (int i = 0; i < hosts; ++i) {
+      const std::string n = std::to_string(i);
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
       fha.response_proc_latency = FromNs(50);
-      auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
+      auto* adapter = fabric.AddHostAdapter(fha, "h" + n);
       fabric.Connect(sw, adapter, OmegaLink());
       dispatch.push_back(std::make_unique<MessageDispatcher>(adapter));
-      ports.push_back(std::make_unique<CcNumaPort>(&engine, cfg, dispatch.back().get(),
-                                                   dir.get(), "p" + std::to_string(i)));
+      ports.push_back(std::make_unique<CoherentPort>(&engine, cfg, dispatch.back().get(),
+                                                     dir.get(), "p" + n));
     }
     fabric.ConfigureRouting();
   }
@@ -57,10 +61,11 @@ struct Rig {
   Engine engine;
   FabricInterconnect fabric;
   std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<MemoryExpander> expander;
   std::unique_ptr<MessageDispatcher> fea_dispatch;
-  std::unique_ptr<DirectoryController> dir;
+  std::unique_ptr<CoherentDirectory> dir;
   std::vector<std::unique_ptr<MessageDispatcher>> dispatch;
-  std::vector<std::unique_ptr<CcNumaPort>> ports;
+  std::vector<std::unique_ptr<CoherentPort>> ports;
 };
 
 struct Result {

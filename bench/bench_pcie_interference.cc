@@ -68,7 +68,8 @@ struct Testbed {
       fea = fabric.AddEndpointAdapter(LeanAdapter(), "fea", device.get());
       fabric.Connect(sw, fea, FabrexLink());
       for (int i = 0; i < num_hosts; ++i) {
-        auto* h = fabric.AddHostAdapter(LeanAdapter(), "h" + std::to_string(i));
+        const std::string n = std::to_string(i);
+        auto* h = fabric.AddHostAdapter(LeanAdapter(), "h" + n);
         fabric.Connect(sw, h, FabrexLink());
         hosts.push_back(h);
       }

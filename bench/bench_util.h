@@ -47,7 +47,7 @@ class BenchReport {
     Note(key, static_cast<std::uint64_t>(value < 0 ? 0 : value));
   }
   void Note(const std::string& key, const std::string& value) {
-    notes_.emplace_back(key, "\"" + Escape(value) + "\"");
+    notes_.emplace_back(key, Quote(value));
   }
   void Note(const std::string& key, const char* value) { Note(key, std::string(value)); }
 
@@ -83,19 +83,21 @@ class BenchReport {
   }
 
   std::string ToJson() const {
-    std::string out = "{\"bench\":\"" + Escape(name_) + "\",\"results\":{";
+    std::string out = "{\"bench\":";
+    out += Quote(name_);
+    out += ",\"results\":{";
     for (std::size_t i = 0; i < notes_.size(); ++i) {
       if (i != 0) {
         out += ',';
       }
-      out += "\"" + Escape(notes_[i].first) + "\":" + notes_[i].second;
+      out += Quote(notes_[i].first) + ":" + notes_[i].second;
     }
     out += "},\"metrics\":{";
     for (std::size_t i = 0; i < captures_.size(); ++i) {
       if (i != 0) {
         out += ',';
       }
-      out += "\"" + Escape(captures_[i].first) + "\":" + captures_[i].second;
+      out += Quote(captures_[i].first) + ":" + captures_[i].second;
     }
     out += '}';
     if (!perf_.empty()) {
@@ -104,7 +106,7 @@ class BenchReport {
         if (i != 0) {
           out += ',';
         }
-        out += "\"" + Escape(perf_[i].first) + "\":" + perf_[i].second;
+        out += Quote(perf_[i].first) + ":" + perf_[i].second;
       }
       out += '}';
     }
@@ -124,9 +126,11 @@ class BenchReport {
     return s;
   }
 
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
+  // `s` as a JSON string literal: quoted, with quotes, backslashes and
+  // newlines escaped.
+  static std::string Quote(const std::string& s) {
+    std::string out = "\"";
+    out.reserve(s.size() + 2);
     for (char c : s) {
       if (c == '"' || c == '\\') {
         out += '\\';
@@ -137,6 +141,7 @@ class BenchReport {
         out += c;
       }
     }
+    out += '"';
     return out;
   }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + ctest across a matrix — the normal build
 # (suite re-run under UNIFAB_AUDIT=1 and again under UNIFAB_SHARDS=4 worker
-# threads), an AddressSanitizer/UBSan build (UNIFAB_SANITIZE=ON), and a
+# threads), a Release (-O3) build that must reproduce every golden, an
+# AddressSanitizer/UBSan build (UNIFAB_SANITIZE=ON), and a
 # ThreadSanitizer build (UNIFAB_SANITIZE=thread) running the concurrency
 # subset — plus the deterministic golden-JSON diffs (non-golden "perf"
 # sections stripped) and the engine hot-path throughput gates. Run from
@@ -65,15 +66,16 @@ diff_golden() {
       <(strip_perf "${golden}") <(strip_perf "${generated}")
 }
 
-# Regenerates a bench's JSON (optionally under UNIFAB_AUDIT=1) and diffs it
-# against the checked-in golden bit-for-bit (minus the perf section).
+# Regenerates a bench's JSON (optionally under UNIFAB_AUDIT=1) from a build
+# tree (default: build) and diffs it against the checked-in golden
+# bit-for-bit (minus the perf section).
 check_golden() {
-  local bin="$1" golden="$2" audit="${3:-0}"
+  local bin="$1" golden="$2" audit="${3:-0}" bench_dir="${4:-${ROOT}/build}/bench"
   local label="golden"
   [[ "${audit}" == "1" ]] && label="golden under UNIFAB_AUDIT=1"
-  echo "=== bench: ${bin} ${label} ==="
-  (cd "${ROOT}/build/bench" && UNIFAB_AUDIT="${audit}" "./${bin}" > /dev/null)
-  diff_golden "${golden}" "${ROOT}/build/bench/$(basename "${golden}")"
+  echo "=== bench: ${bench_dir}/${bin} ${label} ==="
+  (cd "${bench_dir}" && UNIFAB_AUDIT="${audit}" "./${bin}" > /dev/null)
+  diff_golden "${golden}" "${bench_dir}/$(basename "${golden}")"
 }
 
 # Two back-to-back audited runs of a bench must print bit-identical
@@ -148,6 +150,14 @@ if [[ "${AUDIT}" == "1" ]]; then
     check_shard_digests "${bin}"
   done
 fi
+
+# Release leg: the -O3 build must compile warning-free under -Werror, pass
+# the suite, and reproduce every golden bit-for-bit, like the default
+# RelWithDebInfo build (assertions stay on in both).
+run_pass "${ROOT}/build-release" -DCMAKE_BUILD_TYPE=Release
+while read -r bin golden; do
+  check_golden "${bin}" "${golden}" 0 "${ROOT}/build-release"
+done < <(golden_pairs)
 
 # Hot-path throughput gate #1: the calendar-queue workloads must hold >= 2x
 # over the recorded pre-overhaul baseline (enforced inside the bench).

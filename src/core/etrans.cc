@@ -226,22 +226,18 @@ void MigrationAgent::PumpChunks(const std::shared_ptr<ActiveJob>& job) {
     const std::uint32_t bytes = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(attrs.chunk_bytes, job->total - job->offset));
     if (job->granted_mbps > 0.0) {
-      // Token-bucket pacing: bytes / (MB/s) = us per chunk. The clock may
-      // run up to `window` ahead of now (a burst of burst_chunks chunks)
-      // and lag at most `window` behind it (burst catch-up after idling);
-      // with burst_chunks == 1 both clamps reduce to strict per-chunk
-      // pacing.
+      // Strict per-chunk pacing: bytes / (MB/s) = us per chunk, and a chunk
+      // issues no earlier than the token clock. An idle stretch earns no
+      // burst credit: the clock restarts from now.
       const Tick pace = static_cast<Tick>(static_cast<double>(bytes) / job->granted_mbps *
                                           static_cast<double>(kTicksPerUs));
-      const std::uint32_t burst = attrs.burst_chunks == 0 ? 1 : attrs.burst_chunks;
-      const Tick window = static_cast<Tick>(burst - 1) * pace;
       const Tick now = engine_->Now();
-      if (now + window < job->next_issue_at) {
-        // Rate limited: resume when the token clock re-enters the window.
-        // A wakeup already armed at or before that tick will re-evaluate
-        // for us — don't schedule a duplicate.
+      if (now < job->next_issue_at) {
+        // Rate limited: resume when the token clock comes due. A wakeup
+        // already armed at or before that tick will re-evaluate for us —
+        // don't schedule a duplicate.
         ++stats_.throttle_waits;
-        const Tick wake_at = job->next_issue_at - window;
+        const Tick wake_at = job->next_issue_at;
         if (!job->pump_wakeup_armed || job->pump_wakeup_at > wake_at) {
           job->pump_wakeup_armed = true;
           job->pump_wakeup_at = wake_at;
@@ -252,8 +248,7 @@ void MigrationAgent::PumpChunks(const std::shared_ptr<ActiveJob>& job) {
         }
         return;
       }
-      const Tick base = std::max(job->next_issue_at, now > window ? now - window : 0);
-      job->next_issue_at = base + pace;
+      job->next_issue_at = std::max(job->next_issue_at, now) + pace;
     }
     IssueChunk(job, job->offset, bytes);
     job->offset += bytes;

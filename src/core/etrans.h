@@ -64,13 +64,6 @@ struct ETransAttributes {
   std::uint32_t tenant = 0;
   QosClass qos = QosClass::kBestEffort;
 
-  // Token-bucket depth for lease pacing, in chunks. A paced job may issue up
-  // to this many chunks back to back before the token clock throttles it,
-  // and after an idle stretch it catches up with an equally sized burst —
-  // the average rate still matches the lease exactly. 1 = strict per-chunk
-  // pacing (one pump wakeup per chunk).
-  std::uint32_t burst_chunks = 1;
-
   // Per-attempt deadline = floor + factor * (bytes / pacing rate). The floor
   // absorbs fixed costs (lease RTT, flit latency); the factor leaves slack
   // for congestion before a slow transfer is declared dead.

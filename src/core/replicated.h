@@ -18,11 +18,11 @@
 // Functional op payloads ride a host-side shadow (like UnifiedHeap's
 // shadow); all timing comes from the port accesses.
 //
-// The Port template parameter selects the coherence substrate: CcNumaPort
-// (default, the software-visible CC-NUMA directory) or CoherentPort (the
-// CXL.cache coherent window) — any type with Read/Write(addr, void-callback)
-// and HoldsBlock(addr) works. bench_coherent_window races the two backends
-// against CohPtr to locate the hardware-coherence crossover.
+// Both structures run over CoherentPorts. A CC-NUMA node is a directory with
+// CoherentConfig::CcNuma(); bench_coherent_window runs the same structures
+// over a bounded coherent window and races them against CohPtr to locate
+// the hardware-coherence crossover. A failed port transaction (possible
+// only with deadlines on) is not retried: the op completes regardless.
 
 #ifndef SRC_CORE_REPLICATED_H_
 #define SRC_CORE_REPLICATED_H_
@@ -34,7 +34,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/sim/engine.h"
 #include "src/sim/metrics.h"
 #include "src/sim/stats.h"
@@ -61,7 +61,7 @@ struct ReplicatedStats {
   }
 };
 
-template <typename State, typename Op, typename Port = CcNumaPort>
+template <typename State, typename Op>
 class NodeReplicated {
  public:
   using ApplyFn = std::function<void(State&, const Op&)>;
@@ -75,7 +75,7 @@ class NodeReplicated {
   }
 
   // Registers a host's coherent port; returns the replica index.
-  int AddReplica(Port* port, State initial = State{}) {
+  int AddReplica(CoherentPort* port, State initial = State{}) {
     replicas_.push_back(Replica{port, std::move(initial), 0, 0});
     return static_cast<int>(replicas_.size()) - 1;
   }
@@ -88,12 +88,12 @@ class NodeReplicated {
     // the directory), bump it, then write the entry block.
     Replica& rep = replicas_[static_cast<std::size_t>(r)];
     rep.port->Write(TailAddr(), [this, r, op = std::move(op), t0,
-                                 done = std::move(done)]() mutable {
+                                 done = std::move(done)](bool) mutable {
       assert(log_.size() < capacity_ && "replication log full");
       const std::uint64_t index = log_.size();
       log_.push_back(op);
       Replica& rep2 = replicas_[static_cast<std::size_t>(r)];
-      rep2.port->Write(EntryAddr(index), [this, r, t0, done = std::move(done)] {
+      rep2.port->Write(EntryAddr(index), [this, r, t0, done = std::move(done)](bool) {
         Replica& rep3 = replicas_[static_cast<std::size_t>(r)];
         // Writers are implicitly synced through their own append.
         Replay(rep3, log_.size());
@@ -113,7 +113,7 @@ class NodeReplicated {
     const Tick t0 = engine_->Now();
     const bool had_tail = rep.port->HoldsBlock(TailAddr());
     // Read the tail: a port-cache hit when no writer invalidated it.
-    rep.port->Read(TailAddr(), [this, r, t0, had_tail, done = std::move(done)]() mutable {
+    rep.port->Read(TailAddr(), [this, r, t0, had_tail, done = std::move(done)](bool) mutable {
       if (!had_tail) {
         ++stats_.sync_fetches;
       }
@@ -135,7 +135,7 @@ class NodeReplicated {
 
  private:
   struct Replica {
-    Port* port;
+    CoherentPort* port;
     State state;
     std::uint64_t synced;  // log entries applied to `state`
     // Independently maintained copy of the replay position. Replay checks
@@ -171,7 +171,7 @@ class NodeReplicated {
       done();
       return;
     }
-    rep.port->Read(EntryAddr(from), [this, r, from, upto, done = std::move(done)]() mutable {
+    rep.port->Read(EntryAddr(from), [this, r, from, upto, done = std::move(done)](bool) mutable {
       Replica& rep2 = replicas_[static_cast<std::size_t>(r)];
       if (rep2.synced == from) {
         Replay(rep2, from + 1);
@@ -199,7 +199,7 @@ class NodeReplicated {
 // coherence blocks) and every write dirties its first block. This is what
 // node replication's operation log avoids: readers replay compact ops
 // instead of re-fetching invalidated state.
-template <typename State, typename Op, typename Port = CcNumaPort>
+template <typename State, typename Op>
 class CentralizedShared {
  public:
   using ApplyFn = std::function<void(State&, const Op&)>;
@@ -211,20 +211,20 @@ class CentralizedShared {
     stats_.BindTo(metrics_);
   }
 
-  int AddHost(Port* port) {
+  int AddHost(CoherentPort* port) {
     ports_.push_back(port);
     return static_cast<int>(ports_.size()) - 1;
   }
 
   void Execute(int h, Op op, std::function<void()> done = nullptr) {
     ports_[static_cast<std::size_t>(h)]->Write(
-        addr_, std::function<void()>([this, op = std::move(op), done = std::move(done)] {
+        addr_, [this, op = std::move(op), done = std::move(done)](bool) {
           apply_(state_, op);
           ++stats_.ops_executed;
           if (done) {
             done();
           }
-        }));
+        });
   }
 
   void Read(int h, std::function<void(const State&)> done) {
@@ -244,16 +244,16 @@ class CentralizedShared {
     }
     ports_[static_cast<std::size_t>(h)]->Read(
         addr_ + static_cast<std::uint64_t>(i) * 64,
-        std::function<void()>([this, h, i, t0, done = std::move(done)]() mutable {
+        [this, h, i, t0, done = std::move(done)](bool) mutable {
           ReadBlocks(h, i + 1, t0, std::move(done));
-        }));
+        });
   }
 
   Engine* engine_;
   std::uint64_t addr_;
   ApplyFn apply_;
   std::uint32_t state_blocks_;
-  std::vector<Port*> ports_;
+  std::vector<CoherentPort*> ports_;
   State state_{};
   ReplicatedStats stats_;
   MetricGroup metrics_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 #include "src/core/runtime.h"
 
@@ -243,12 +244,21 @@ void TenantEngine::IssueHeap(Tenant& t, TenantOp op) {
     heap->Read(t.object, std::move(done));
     return;
   }
+  // Migrate reports a rejection twice: done(false) before it returns, then
+  // the result code. Only the code tells a benign no-op (busy, same tier)
+  // from a failure (no object, full tier), so rejections complete from the
+  // code and the callback completes only started migrations, whose eTrans
+  // copy finishes after Migrate has returned.
+  auto started = std::make_shared<bool>(false);
   const int dst_tier = heap->TierOf(t.object) == 0 ? 1 + t.fam : 0;
   const MigrateResult r =
-      heap->Migrate(t.object, dst_tier, [this, cls_idx, t0](bool ok) { Complete(cls_idx, t0, ok); });
-  if (r != MigrateResult::kStarted) {
-    // No async completion coming: busy/same-tier are benign no-ops, a
-    // missing object or full tier is a failure.
+      heap->Migrate(t.object, dst_tier, [this, cls_idx, t0, started](bool ok) {
+        if (*started) {
+          Complete(cls_idx, t0, ok);
+        }
+      });
+  *started = r == MigrateResult::kStarted;
+  if (!*started) {
     Complete(cls_idx, t0, r == MigrateResult::kBusy || r == MigrateResult::kSameTier);
   }
 }

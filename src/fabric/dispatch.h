@@ -1,6 +1,6 @@
 // Demultiplexes runtime messages arriving at one adapter across services.
 //
-// Several protocol engines (CC-NUMA directory ports, eTrans agents, the
+// Several protocol engines (coherent directory ports, eTrans agents, the
 // central arbiter, the idempotent-task runtime, scalable functions) share a
 // host's single FHA. Each service claims a service id; message tags encode
 // the id in the top byte and the dispatcher routes accordingly.
@@ -16,7 +16,6 @@
 namespace unifab {
 
 // Well-known service ids.
-inline constexpr std::uint8_t kSvcCcNuma = 1;
 inline constexpr std::uint8_t kSvcETrans = 2;
 inline constexpr std::uint8_t kSvcArbiter = 3;
 inline constexpr std::uint8_t kSvcITask = 4;

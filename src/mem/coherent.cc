@@ -6,6 +6,38 @@
 
 namespace unifab {
 
+const char* CohOpName(CohOp op) {
+  switch (op) {
+    case CohOp::kGetS:
+      return "GetS";
+    case CohOp::kGetM:
+      return "GetM";
+    case CohOp::kPutM:
+      return "PutM";
+    case CohOp::kPutS:
+      return "PutS";
+    case CohOp::kData:
+      return "Data";
+    case CohOp::kDataM:
+      return "DataM";
+    case CohOp::kInv:
+      return "Inv";
+    case CohOp::kInvAck:
+      return "InvAck";
+    case CohOp::kRecall:
+      return "Recall";
+    case CohOp::kRecallResp:
+      return "RecallResp";
+    case CohOp::kBackInval:
+      return "BackInval";
+    case CohOp::kBackInvalAck:
+      return "BackInvalAck";
+    case CohOp::kNack:
+      return "Nack";
+  }
+  return "?";
+}
+
 // --------------------------- stats bindings -------------------------------
 
 void CoherentDirStats::BindTo(MetricGroup& group, const std::string& prefix) const {
@@ -306,6 +338,35 @@ CoherentDirectory::CoherentDirectory(Engine* engine, const CoherentConfig& confi
     if (stats_.back_invals_sent != accounted) {
       return "dir " + name_ + ": back_invals_sent=" + std::to_string(stats_.back_invals_sent) +
              " != acks+timeouts+outstanding=" + std::to_string(accounted);
+    }
+    return "";
+  });
+  // Every line resident in a port cache must be visible to the directory as
+  // that port being the owner or a sharer of the block. The reverse is not
+  // an invariant (eviction notices are in flight, and unacknowledged sharers
+  // stay tracked after a deadline), but a port holding a line the directory
+  // does not attribute to it is a coherence leak. Port caches live on the
+  // hosts' engine; when the directory runs on a different shard (sharded
+  // cluster runs) the cross-shard peek would race, so the check degrades to
+  // a no-op there — plain-engine rigs keep it armed.
+  audit_.AddCheck("sharers_conserved", [this]() -> std::string {
+    for (const CoherentPort* p : ports_) {
+      if (p->engine_ != engine_) {
+        return "";
+      }
+      for (std::uint64_t line : p->cache_.ValidLines()) {
+        auto it = blocks_.find(line);
+        const int h = p->host_index_;
+        const bool tracked =
+            it != blocks_.end() &&
+            (it->second.owner == h || std::find(it->second.sharers.begin(),
+                                                it->second.sharers.end(),
+                                                h) != it->second.sharers.end());
+        if (!tracked) {
+          return "port " + p->name_ + " holds block " + std::to_string(line) +
+                 " unknown to directory " + name_;
+        }
+      }
     }
     return "";
   });
@@ -633,6 +694,11 @@ void CoherentDirectory::FinishTxn(Entry& e, std::uint64_t block) {
     return;
   }
   MaybeReclaim(block);
+  // A request parks with no eviction started when every entry is in flight;
+  // this entry going idle may be the victim it has been waiting for.
+  if (!filter_wait_.empty()) {
+    StartFilterEviction();
+  }
 }
 
 void CoherentDirectory::MaybeReclaim(std::uint64_t block) {
@@ -641,8 +707,7 @@ void CoherentDirectory::MaybeReclaim(std::uint64_t block) {
     return;
   }
   const Entry& e = it->second;
-  // Unlike the CC-NUMA directory, idle-uncached entries are erased so the
-  // bounded filter reuses the slot.
+  // Idle-uncached entries are erased so a bounded filter reuses the slot.
   if (!e.busy && !e.evicting && e.pending.empty() && e.bi_waiting.empty() &&
       e.state == BlockState::kUncached && e.sharers.empty() && e.owner < 0) {
     blocks_.erase(it);

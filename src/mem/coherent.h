@@ -1,25 +1,31 @@
-// CXL.cache-style coherent shared-memory window (paper DP#2, ROADMAP 3).
+// Hardware-coherent fabric-attached memory (paper §3 Difference #2, DP#2).
 //
-// A CoherentDirectory lives at a FAM chassis's memory expander and runs an
-// HDM-DB-style snoop filter: unlike the CC-NUMA DirectoryController's
-// unbounded BlockEntry map, tracking is bounded both per block (at most
-// `max_sharers` sharers, recall-on-overflow) and in total (at most
-// `max_tracked_blocks` filter entries, back-invalidation of the LRU victim
-// when the filter is full). The back-invalidation channel (CohOp::kBackInval
-// / kBackInvalAck, CXL BISnp/BIRsp) is the price of the bound: the device
-// can evict a filter entry only by first invalidating every cached copy.
+// One directory-based, write-invalidate MSI protocol in the style of
+// DASH/FLASH, realized inside the FHA/FEA pair: every host owns a
+// CoherentPort (a hardware block cache in its FHA) and the home node runs a
+// CoherentDirectory beside the chassis's MemoryExpander. All protocol
+// traffic travels as CXL.cache-channel messages over the simulated fabric,
+// so coherence costs are real fabric costs. The home is blocking: it
+// serializes transactions per block, and requesters never talk to each
+// other (home forwarding costs an extra hop but keeps the protocol simple).
 //
-// Partial failure is first-class: every transaction carries a deadline on
+// The directory is an HDM-DB-style snoop filter whose bounds are
+// configuration. Tracking is bounded per block (at most `max_sharers`
+// sharers, recall-on-overflow) and in total (at most `max_tracked_blocks`
+// filter entries, back-invalidation of the LRU victim when the filter is
+// full). The back-invalidation channel (CohOp::kBackInval / kBackInvalAck,
+// CXL BISnp/BIRsp) is the price of the bound: the device can evict a filter
+// entry only by first invalidating every cached copy. CC-NUMA is the same
+// directory with both bounds at the uint32 maximum and no deadlines
+// (CoherentConfig::CcNuma()), so it never back-invalidates.
+//
+// Partial failure is first-class: every transaction can carry a deadline on
 // both sides. The directory never grants on a timed-out handshake — it
 // Nacks the requester terminally and keeps unacknowledged sharers tracked —
 // and a port whose transaction times out fails its waiters with ok=false
 // and conservatively drops its local copy. A failed write is therefore
 // never observable: grants commit directory state before data moves, and
 // the host-side shadow is only updated on a successful completion.
-//
-// The wire vocabulary (CohOp/CohMsg) is shared with src/mem/ccnuma.h so
-// traces show one protocol language; the service id (kSvcCoherent) and the
-// state machines are this file's own.
 
 #ifndef SRC_MEM_COHERENT_H_
 #define SRC_MEM_COHERENT_H_
@@ -28,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -37,7 +44,6 @@
 
 #include "src/fabric/dispatch.h"
 #include "src/mem/cache.h"
-#include "src/mem/ccnuma.h"
 #include "src/mem/expander.h"
 #include "src/sim/audit.h"
 #include "src/sim/engine.h"
@@ -45,6 +51,34 @@
 #include "src/sim/stats.h"
 
 namespace unifab {
+
+// Coherence message opcodes.
+enum class CohOp : std::uint8_t {
+  kGetS,          // port -> home: read miss
+  kGetM,          // port -> home: write miss or S->M upgrade
+  kPutM,          // port -> home: dirty eviction writeback
+  kPutS,          // port -> home: clean eviction notice
+  kData,          // home -> port: shared data grant
+  kDataM,         // home -> port: exclusive data grant
+  kInv,           // home -> port: invalidate your copy
+  kInvAck,        // port -> home
+  kRecall,        // home -> owner: give the block back (downgrade or invalidate)
+  kRecallResp,    // owner -> home
+  kBackInval,     // home -> port: snoop-filter capacity eviction (CXL BISnp)
+  kBackInvalAck,  // port -> home: BIRsp, carries writeback data when dirty
+  kNack,          // home -> port: transaction aborted terminally (fault path)
+};
+
+const char* CohOpName(CohOp op);
+
+struct CohMsg {
+  CohOp op = CohOp::kGetS;
+  std::uint64_t block = 0;
+  int requester = -1;      // host index at the directory
+  bool downgrade = false;  // kRecall: true = owner keeps an S copy
+  bool was_dirty = false;  // kRecallResp: owner had modified data
+  bool was_present = false;
+};
 
 struct CoherentConfig {
   std::uint32_t block_bytes = 64;
@@ -64,6 +98,18 @@ struct CoherentConfig {
   // Port-side watchdog on an outstanding miss; expiry fails the waiters
   // terminally (ok=false). 0 disables.
   Tick txn_deadline = FromUs(500.0);
+
+  // CC-NUMA: an unbounded filter (it never back-invalidates), no deadlines,
+  // and a 256 KiB port cache.
+  static CoherentConfig CcNuma() {
+    CoherentConfig c;
+    c.port_cache = CacheConfig{256 * 1024, 64, 8};
+    c.max_tracked_blocks = std::numeric_limits<std::uint32_t>::max();
+    c.max_sharers = std::numeric_limits<std::uint32_t>::max();
+    c.ack_deadline = 0;
+    c.txn_deadline = 0;
+    return c;
+  }
 };
 
 struct CoherentDirStats {
@@ -108,10 +154,10 @@ struct CoherentPortStats {
 
 class CoherentDirectory;
 
-// Host-side port into the coherent window. Completions carry an `ok` flag:
+// Host-side coherent port. Read/Write complete when the block is usable in
+// the required state in the port cache. Completions carry an `ok` flag:
 // false means the transaction failed terminally (directory Nack or port
-// deadline) and the local copy was conservatively dropped. The void
-// overloads exist for callers ported from CcNumaPort (NodeReplicated).
+// deadline) and the local copy was conservatively dropped.
 class CoherentPort {
  public:
   CoherentPort(Engine* engine, const CoherentConfig& config, MessageDispatcher* dispatcher,
@@ -119,20 +165,6 @@ class CoherentPort {
 
   void Read(std::uint64_t addr, std::function<void(bool ok)> done);
   void Write(std::uint64_t addr, std::function<void(bool ok)> done);
-  void Read(std::uint64_t addr, std::function<void()> done) {
-    Read(addr, [done = std::move(done)](bool) {
-      if (done) {
-        done();
-      }
-    });
-  }
-  void Write(std::uint64_t addr, std::function<void()> done) {
-    Write(addr, [done = std::move(done)](bool) {
-      if (done) {
-        done();
-      }
-    });
-  }
 
   bool HoldsBlock(std::uint64_t addr) const { return cache_.Contains(addr); }
   bool HoldsModified(std::uint64_t addr) const { return cache_.IsDirty(addr); }
@@ -179,7 +211,9 @@ class CoherentPort {
 
 // Memory-side snoop-filter directory, colocated with a MemoryExpander.
 // Backing data moves through MemoryExpander::WindowAccess so device stats
-// and DRAM timing stay honest.
+// and DRAM timing stay honest. RegisterPort must be called (the port's
+// constructor does it) before the port issues traffic; the returned host
+// index identifies the port in directory state.
 class CoherentDirectory {
  public:
   CoherentDirectory(Engine* engine, const CoherentConfig& config, MessageDispatcher* dispatcher,

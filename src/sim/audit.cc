@@ -8,7 +8,8 @@ std::uint64_t InvariantAuditor::Register(const std::string& path, InvariantCheck
   std::string unique = path;
   const int claim = ++path_claims_[path];
   if (claim > 1) {
-    unique += "#" + std::to_string(claim);
+    unique += '#';
+    unique += std::to_string(claim);
   }
   const std::uint64_t id = next_id_++;
   checks_.push_back(Entry{id, std::move(unique), std::move(check)});

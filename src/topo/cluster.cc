@@ -115,7 +115,7 @@ void Cluster::BuildPods() {
   // the Ethernet bridges wired below.
   for (int p = 0; p < num_pods; ++p) {
     const auto domain = static_cast<std::uint16_t>(p);
-    const std::string prefix = "p" + std::to_string(p) + "/";
+    const std::string prefix = std::string("p").append(std::to_string(p)).append("/");
     Engine* pod_engine = &engine();
     if (config.shard_by_domain) {
       pod_engine = &sharded_.AddShard("pod" + std::to_string(p));

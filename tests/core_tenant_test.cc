@@ -199,6 +199,29 @@ TEST(TenantEngineTest, DegenerateTopologyCompletesEverything) {
   EXPECT_EQ(tenants->issued(), tenants->completed() + tenants->failed());
 }
 
+// Regression: a heap_migrate the heap rejects (the object is still
+// migrating, MigrateResult::kBusy) completes exactly once, as a benign
+// no-op. Migrate reports the rejection through its callback and its result
+// code; completing on both drove in_flight below zero.
+TEST(TenantEngineTest, RejectedMigrationCompletesOnce) {
+  TenantRig rig(
+      "scenario busy\n"
+      "seed 5\n"
+      "horizon_us 200\n"
+      "class name=solo tenants=1 arrival=deterministic rate_ops_s=500000 "
+      "bytes=65536 mix=heap_migrate:1\n");
+  rig.tenants->Start();
+  rig.cluster.engine().Run();
+
+  const TenantClassStats& s = rig.tenants->class_stats(0);
+  const HeapStats& heap = rig.runtime->heap(1)->stats();
+  // Arrivals every 2 us outrun a 64 KiB copy, so most are rejected as busy.
+  EXPECT_GT(s.issued, heap.promotions + heap.demotions);
+  EXPECT_EQ(rig.tenants->in_flight(), 0u);
+  EXPECT_EQ(s.issued, s.completed + s.failed);
+  EXPECT_TRUE(rig.cluster.engine().audit().Sweep().empty());
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: guaranteed-class SLO accounting across link epochs. A chassis
 // flap campaign (FAM links failing and healing mid-run) must never lose or

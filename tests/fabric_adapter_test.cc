@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/fabric/dispatch.h"
@@ -42,7 +44,8 @@ struct Rig {
     fea = fabric.AddEndpointAdapter(FastAdapter(mode), "fea", dram.get());
     fabric.Connect(sw, fea, link);
     for (int i = 0; i < num_hosts; ++i) {
-      hosts.push_back(fabric.AddHostAdapter(FastAdapter(mode), "h" + std::to_string(i)));
+      const std::string n = std::to_string(i);
+      hosts.push_back(fabric.AddHostAdapter(FastAdapter(mode), "h" + n));
       fabric.Connect(sw, hosts.back(), link);
     }
     fabric.ConfigureRouting();
@@ -172,15 +175,22 @@ TEST(AdapterTest, TagHelpersRoundTrip) {
 
 // Property sweep: for every flit mode and request size, the number of DRAM
 // bytes touched equals the request size and everything completes.
+// gtest names each case by the raw bytes of its parameter, so the struct has
+// no implicit padding: left implicit, the three bytes after `mode` hold stack
+// leftovers and the case names change with the build and its environment.
 struct ModeSize {
+  ModeSize(FlitMode m, std::uint32_t b) : mode(m), bytes(b) {}
   FlitMode mode;
+  std::uint8_t pad[3] = {};
   std::uint32_t bytes;
 };
+static_assert(std::has_unique_object_representations_v<ModeSize>);
 
 class AdapterModeTest : public ::testing::TestWithParam<ModeSize> {};
 
 TEST_P(AdapterModeTest, RequestsCompleteAcrossModesAndSizes) {
-  const auto [mode, bytes] = GetParam();
+  const FlitMode mode = GetParam().mode;
+  const std::uint32_t bytes = GetParam().bytes;
   Rig rig(1, mode);
   bool read_done = false;
   bool write_done = false;

@@ -424,7 +424,8 @@ TEST(RuntimeRecoveryTest, TaskJobCompletesAcrossFaaOutage) {
   std::vector<TaskId> ids;
   for (int i = 0; i < 3; ++i) {
     TaskSpec spec;
-    spec.name = "t" + std::to_string(i);
+    spec.name = "t";
+    spec.name += std::to_string(i);
     spec.inputs = {in};
     spec.outputs = {out};
     spec.compute_cost = FromUs(15.0);

@@ -65,11 +65,11 @@ struct Star {
        Tick slow_hold = 0, LinkConfig slow_link_cfg = {}) {
     sw = std::make_unique<FabricSwitch>(&engine, sw_cfg, "sw");
     for (int i = 0; i < n; ++i) {
+      const std::string name = std::to_string(i);
       nodes.push_back(std::make_unique<TestNode>(&engine, i == slow_node ? slow_hold : 0));
       links.push_back(std::make_unique<Link>(&engine,
                                              i == slow_node ? slow_link_cfg : link_cfg,
-                                             100 + static_cast<std::uint64_t>(i),
-                                             "l" + std::to_string(i)));
+                                             100 + static_cast<std::uint64_t>(i), "l" + name));
       Link* link = links.back().get();
       const int port = sw->AttachPort(&link->end(0));
       TestNode* node = nodes.back().get();

@@ -58,14 +58,14 @@ struct Rig {
                                               "dir");
     window = std::make_unique<CoherentWindow>(dir.get(), win_base, kWindowBytes);
     for (int i = 0; i < 3; ++i) {
+      const std::string n = std::to_string(i);
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
       fha.response_proc_latency = FromNs(50);
-      auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
+      auto* adapter = fabric.AddHostAdapter(fha, "h" + n);
       host_link[i] = fabric.Connect(sw, adapter, OmegaLink());
       dispatch[i] = std::make_unique<MessageDispatcher>(adapter);
-      port[i] = std::make_unique<CoherentPort>(&engine, cfg, dispatch[i].get(), dir.get(),
-                                               "p" + std::to_string(i));
+      port[i] = std::make_unique<CoherentPort>(&engine, cfg, dispatch[i].get(), dir.get(), "p" + n);
     }
     fabric.ConfigureRouting();
   }
@@ -434,7 +434,7 @@ struct AddOp {
 TEST(CoherentReplicatedTest, NodeReplicatedConvergesOverCoherentPorts) {
   Rig rig;
   const std::uint64_t log_base = rig.window->Allocate(64 * 64);
-  NodeReplicated<Counter, AddOp, CoherentPort> nr(
+  NodeReplicated<Counter, AddOp> nr(
       &rig.engine, log_base, 63, [](Counter& c, const AddOp& op) { c.value += op.delta; });
   int reps[3];
   for (int i = 0; i < 3; ++i) {

@@ -1,6 +1,7 @@
 // Tests for the four fabric memory-node types (paper §3 Difference #2):
-// CPU-less NUMA expander, CC-NUMA directory coherence, non-CC NUMA software
-// coherence, and COMA attraction memory.
+// CPU-less NUMA expander, CC-NUMA directory coherence (the unbounded
+// CoherentDirectory), non-CC NUMA software coherence, and COMA attraction
+// memory.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,7 @@
 
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/mem/coma.h"
 #include "src/mem/dram.h"
 #include "src/mem/expander.h"
@@ -19,10 +20,10 @@ namespace unifab {
 
 // Test-only hook (same pattern as fabric_switch_mem_test.cc): reaches into a
 // port's block cache to model a silent eviction and to seed a deliberate
-// violation of the mem/ccnuma/sharers_conserved audit check.
+// violation of the mem/coherent/sharers_conserved audit check.
 class AuditTestPeer {
  public:
-  static SetAssocCache& PortCache(CcNumaPort& p) { return p.cache_; }
+  static SetAssocCache& PortCache(CoherentPort& p) { return p.cache_; }
 };
 
 namespace {
@@ -111,25 +112,28 @@ class CcNumaTest : public ::testing::Test {
   CcNumaTest() : fabric_(&engine_, 5) {
     auto* sw = fabric_.AddSwitch(FabrexSwitch(), "sw");
     dram_ = std::make_unique<DramDevice>(&engine_, OmegaLocalDram(), "fam-dram");
+    expander_ = std::make_unique<MemoryExpander>(&engine_, dram_.get(), "exp");
+    expander_->CreateCoherentWindow(dram_->config().capacity_bytes);
 
     AdapterConfig fast_fea = OmegaEndpointAdapter();
     fast_fea.request_proc_latency = FromNs(50);
-    fea_ = fabric_.AddEndpointAdapter(fast_fea, "fea", dram_.get());
+    fea_ = fabric_.AddEndpointAdapter(fast_fea, "fea", expander_.get());
     fabric_.Connect(sw, fea_, OmegaLink());
     fea_dispatch_ = std::make_unique<MessageDispatcher>(fea_);
 
-    CcNumaConfig cfg;
-    dir_ = std::make_unique<DirectoryController>(&engine_, cfg, fea_dispatch_.get(), dram_.get(),
-                                                 "dir");
+    const CoherentConfig cfg = CoherentConfig::CcNuma();
+    dir_ = std::make_unique<CoherentDirectory>(&engine_, cfg, fea_dispatch_.get(),
+                                               expander_.get(), "dir");
     for (int i = 0; i < 2; ++i) {
+      const std::string n = std::to_string(i);
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
       fha.response_proc_latency = FromNs(50);
-      auto* adapter = fabric_.AddHostAdapter(fha, "h" + std::to_string(i));
+      auto* adapter = fabric_.AddHostAdapter(fha, "h" + n);
       fabric_.Connect(sw, adapter, OmegaLink());
       host_dispatch_[i] = std::make_unique<MessageDispatcher>(adapter);
-      port_[i] = std::make_unique<CcNumaPort>(&engine_, cfg, host_dispatch_[i].get(),
-                                              dir_.get(), "port" + std::to_string(i));
+      port_[i] = std::make_unique<CoherentPort>(&engine_, cfg, host_dispatch_[i].get(),
+                                                dir_.get(), "port" + n);
     }
     fabric_.ConfigureRouting();
   }
@@ -137,21 +141,22 @@ class CcNumaTest : public ::testing::Test {
   Engine engine_;
   FabricInterconnect fabric_;
   std::unique_ptr<DramDevice> dram_;
+  std::unique_ptr<MemoryExpander> expander_;
   EndpointAdapter* fea_ = nullptr;
   std::unique_ptr<MessageDispatcher> fea_dispatch_;
-  std::unique_ptr<DirectoryController> dir_;
+  std::unique_ptr<CoherentDirectory> dir_;
   std::unique_ptr<MessageDispatcher> host_dispatch_[2];
-  std::unique_ptr<CcNumaPort> port_[2];
+  std::unique_ptr<CoherentPort> port_[2];
 };
 
 TEST_F(CcNumaTest, ReadMissFetchesAndShares) {
   bool done = false;
-  port_[0]->Read(0x1000, [&] { done = true; });
+  port_[0]->Read(0x1000, [&](bool ok) { done = ok; });
   engine_.Run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(port_[0]->HoldsBlock(0x1000));
   EXPECT_FALSE(port_[0]->HoldsModified(0x1000));
-  EXPECT_EQ(dir_->StateOf(0x1000), DirectoryController::BlockState::kShared);
+  EXPECT_EQ(dir_->StateOf(0x1000), CoherentDirectory::BlockState::kShared);
   EXPECT_EQ(dir_->SharerCount(0x1000), 1u);
 }
 
@@ -170,10 +175,10 @@ TEST_F(CcNumaTest, WriteInvalidatesOtherSharers) {
   ASSERT_EQ(dir_->SharerCount(0x1000), 2u);
 
   bool done = false;
-  port_[1]->Write(0x1000, [&] { done = true; });
+  port_[1]->Write(0x1000, [&](bool ok) { done = ok; });
   engine_.Run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(dir_->StateOf(0x1000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x1000), CoherentDirectory::BlockState::kModified);
   EXPECT_FALSE(port_[0]->HoldsBlock(0x1000));
   EXPECT_TRUE(port_[1]->HoldsModified(0x1000));
   EXPECT_GE(port_[0]->stats().invalidations_received, 1u);
@@ -182,14 +187,14 @@ TEST_F(CcNumaTest, WriteInvalidatesOtherSharers) {
 TEST_F(CcNumaTest, ReadAfterRemoteWriteRecallsOwner) {
   port_[0]->Write(0x2000, nullptr);
   engine_.Run();
-  ASSERT_EQ(dir_->StateOf(0x2000), DirectoryController::BlockState::kModified);
+  ASSERT_EQ(dir_->StateOf(0x2000), CoherentDirectory::BlockState::kModified);
 
   bool done = false;
-  port_[1]->Read(0x2000, [&] { done = true; });
+  port_[1]->Read(0x2000, [&](bool ok) { done = ok; });
   engine_.Run();
   EXPECT_TRUE(done);
   // Owner downgraded to sharer; both hold the block.
-  EXPECT_EQ(dir_->StateOf(0x2000), DirectoryController::BlockState::kShared);
+  EXPECT_EQ(dir_->StateOf(0x2000), CoherentDirectory::BlockState::kShared);
   EXPECT_EQ(dir_->SharerCount(0x2000), 2u);
   EXPECT_GE(port_[0]->stats().recalls_received, 1u);
   EXPECT_FALSE(port_[0]->HoldsModified(0x2000));
@@ -200,7 +205,7 @@ TEST_F(CcNumaTest, UpgradeFromSharedToModified) {
   engine_.Run();
   port_[0]->Write(0x3000, nullptr);
   engine_.Run();
-  EXPECT_EQ(dir_->StateOf(0x3000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x3000), CoherentDirectory::BlockState::kModified);
   EXPECT_GE(port_[0]->stats().upgrades, 1u);
 }
 
@@ -209,7 +214,7 @@ TEST_F(CcNumaTest, WriteHitInModifiedIsLocal) {
   engine_.Run();
   const auto misses_before = port_[0]->stats().miss_latency_ns.Count();
   bool done = false;
-  port_[0]->Write(0x4000, [&] { done = true; });
+  port_[0]->Write(0x4000, [&](bool ok) { done = ok; });
   engine_.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(port_[0]->stats().miss_latency_ns.Count(), misses_before);
@@ -229,7 +234,7 @@ TEST_F(CcNumaTest, PingPongWritesAlternateOwnership) {
     engine_.Run();
   }
   EXPECT_GE(dir_->stats().recalls, 3u);
-  EXPECT_EQ(dir_->StateOf(0x6000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x6000), CoherentDirectory::BlockState::kModified);
   EXPECT_TRUE(port_[1]->HoldsModified(0x6000));
 }
 
@@ -241,10 +246,10 @@ TEST_F(CcNumaTest, PingPongWritesAlternateOwnership) {
 TEST_F(CcNumaTest, EvictionNoticeCrossingInvCompletesTheWrite) {
   port_[0]->Read(0x5000, nullptr);
   engine_.Run();
-  ASSERT_EQ(dir_->StateOf(0x5000), DirectoryController::BlockState::kShared);
+  ASSERT_EQ(dir_->StateOf(0x5000), CoherentDirectory::BlockState::kShared);
 
   bool wrote = false;
-  port_[1]->Write(0x5000, [&] { wrote = true; });
+  port_[1]->Write(0x5000, [&](bool ok) { wrote = ok; });
   // Advance into the window where the directory has sent the Inv but port 0
   // has not yet received it.
   const Tick probe_limit = engine_.Now() + FromUs(5);
@@ -261,7 +266,7 @@ TEST_F(CcNumaTest, EvictionNoticeCrossingInvCompletesTheWrite) {
   puts->op = CohOp::kPutS;
   puts->block = 0x5000;
   puts->requester = 0;
-  host_dispatch_[0]->Send(dir_->fabric_id(), kSvcCcNuma,
+  host_dispatch_[0]->Send(dir_->fabric_id(), kSvcCoherent,
                           static_cast<std::uint64_t>(CohOp::kPutS), 16, puts, Channel::kCache);
   engine_.Run();
 
@@ -271,7 +276,7 @@ TEST_F(CcNumaTest, EvictionNoticeCrossingInvCompletesTheWrite) {
   // must discard that ack instead of mis-crediting it.
   EXPECT_EQ(port_[0]->stats().invalidations_received, 1u);
   EXPECT_EQ(dir_->stats().stale_acks, 1u);
-  EXPECT_EQ(dir_->StateOf(0x5000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x5000), CoherentDirectory::BlockState::kModified);
   EXPECT_TRUE(port_[1]->HoldsModified(0x5000));
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 }
@@ -288,24 +293,24 @@ TEST_F(CcNumaTest, InvAckFromNonWaiterIsCountedStaleAndIgnored) {
   spoof->op = CohOp::kInvAck;
   spoof->block = 0x5000;
   spoof->requester = 1;
-  host_dispatch_[1]->Send(dir_->fabric_id(), kSvcCcNuma,
+  host_dispatch_[1]->Send(dir_->fabric_id(), kSvcCoherent,
                           static_cast<std::uint64_t>(CohOp::kInvAck), 16, spoof,
                           Channel::kCache);
   engine_.Run();
   EXPECT_EQ(dir_->stats().stale_acks, 1u);
   EXPECT_EQ(dir_->SharerCount(0x5000), 1u);
-  EXPECT_EQ(dir_->StateOf(0x5000), DirectoryController::BlockState::kShared);
+  EXPECT_EQ(dir_->StateOf(0x5000), CoherentDirectory::BlockState::kShared);
 
   // The protocol still works afterwards.
   bool wrote = false;
-  port_[1]->Write(0x5000, [&] { wrote = true; });
+  port_[1]->Write(0x5000, [&](bool ok) { wrote = ok; });
   engine_.Run();
   EXPECT_TRUE(wrote);
   EXPECT_TRUE(port_[1]->HoldsModified(0x5000));
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 }
 
-// The new mem/ccnuma/sharers_conserved check: every valid line in a port
+// The mem/coherent/sharers_conserved check: every valid line in a port
 // cache must be tracked by the home directory.
 TEST_F(CcNumaTest, AuditCatchesUntrackedPortLine) {
   port_[0]->Read(0x5000, nullptr);
@@ -313,7 +318,7 @@ TEST_F(CcNumaTest, AuditCatchesUntrackedPortLine) {
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 
   AuditTestPeer::PortCache(*port_[0]).Insert(0x7000, /*dirty=*/false);
-  EXPECT_TRUE(AnyPathEndsWith(engine_.audit().Sweep(), "mem/ccnuma/sharers_conserved"));
+  EXPECT_TRUE(AnyPathEndsWith(engine_.audit().Sweep(), "mem/coherent/sharers_conserved"));
   AuditTestPeer::PortCache(*port_[0]).Invalidate(0x7000);
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 }
@@ -328,10 +333,11 @@ class NonCcTest : public ::testing::Test {
     auto* fea = fabric_.AddEndpointAdapter(OmegaEndpointAdapter(), "fea", dram_.get());
     fabric_.Connect(sw, fea, OmegaLink());
     for (int i = 0; i < 2; ++i) {
-      auto* fha = fabric_.AddHostAdapter(OmegaHostAdapter(), "h" + std::to_string(i));
+      const std::string n = std::to_string(i);
+      auto* fha = fabric_.AddHostAdapter(OmegaHostAdapter(), "h" + n);
       fabric_.Connect(sw, fha, OmegaLink());
       port_[i] = std::make_unique<NonCcPort>(&engine_, NonCcConfig{}, fha, fea->id(), &oracle_,
-                                             "p" + std::to_string(i));
+                                             "p" + n);
     }
     fabric_.ConfigureRouting();
   }

@@ -14,7 +14,7 @@
 #include "src/core/runtime.h"
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/mem/coma.h"
 #include "src/mem/dram.h"
 #include "src/sim/random.h"
@@ -25,30 +25,44 @@
 namespace unifab {
 namespace {
 
-// ----------------------- CC-NUMA protocol fuzz ---------------------------
+// ------------------------ coherence protocol fuzz --------------------------
+
+// One fuzz case: a seed, run against CC-NUMA (the unbounded directory) or
+// against a deadline-free snoop filter smaller than the working set, so
+// back-invalidations and sharer recalls interleave with ordinary traffic.
+struct CohFuzzCase {
+  std::uint64_t seed;
+  bool bounded;
+};
+
+// The ctest name is the printed parameter; CC-NUMA cases print the bare seed.
+void PrintTo(const CohFuzzCase& c, std::ostream* os) {
+  *os << (c.bounded ? "bounded_" : "") << c.seed;
+}
 
 struct CohRig {
-  explicit CohRig(int hosts) : fabric(&engine, 71) {
+  CohRig(int hosts, const CoherentConfig& cfg) : fabric(&engine, 71) {
     auto* sw = fabric.AddSwitch(FabrexSwitch(), "sw");
     dram = std::make_unique<DramDevice>(&engine, OmegaLocalDram(), "fam");
+    expander = std::make_unique<MemoryExpander>(&engine, dram.get(), "exp");
+    expander->CreateCoherentWindow(dram->config().capacity_bytes);
     AdapterConfig fea_cfg = OmegaEndpointAdapter();
     fea_cfg.request_proc_latency = FromNs(50);
-    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", dram.get());
+    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", expander.get());
     fabric.Connect(sw, fea, OmegaLink());
     fea_dispatch = std::make_unique<MessageDispatcher>(fea);
-    CcNumaConfig cfg;
-    cfg.port_cache = CacheConfig{4096, 64, 2};  // tiny: lots of evictions
-    dir = std::make_unique<DirectoryController>(&engine, cfg, fea_dispatch.get(), dram.get(),
-                                                "dir");
+    dir = std::make_unique<CoherentDirectory>(&engine, cfg, fea_dispatch.get(), expander.get(),
+                                              "dir");
     for (int i = 0; i < hosts; ++i) {
+      const std::string n = std::to_string(i);
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
       fha.response_proc_latency = FromNs(50);
-      auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
+      auto* adapter = fabric.AddHostAdapter(fha, "h" + n);
       fabric.Connect(sw, adapter, OmegaLink());
       dispatch.push_back(std::make_unique<MessageDispatcher>(adapter));
-      ports.push_back(std::make_unique<CcNumaPort>(&engine, cfg, dispatch.back().get(),
-                                                   dir.get(), "p" + std::to_string(i)));
+      ports.push_back(std::make_unique<CoherentPort>(&engine, cfg, dispatch.back().get(),
+                                                     dir.get(), "p" + n));
     }
     fabric.ConfigureRouting();
   }
@@ -56,21 +70,28 @@ struct CohRig {
   Engine engine;
   FabricInterconnect fabric;
   std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<MemoryExpander> expander;
   std::unique_ptr<MessageDispatcher> fea_dispatch;
-  std::unique_ptr<DirectoryController> dir;
+  std::unique_ptr<CoherentDirectory> dir;
   std::vector<std::unique_ptr<MessageDispatcher>> dispatch;
-  std::vector<std::unique_ptr<CcNumaPort>> ports;
+  std::vector<std::unique_ptr<CoherentPort>> ports;
 };
 
-class CcNumaFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+class CcNumaFuzzTest : public ::testing::TestWithParam<CohFuzzCase> {};
 
 TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
-  const std::uint64_t seed = GetParam();
+  const std::uint64_t seed = GetParam().seed;
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  CohRig rig(3);
+  constexpr int kBlocks = 24;
+  CoherentConfig cfg = CoherentConfig::CcNuma();
+  cfg.port_cache = CacheConfig{4096, 64, 2};  // tiny: lots of evictions
+  if (GetParam().bounded) {
+    cfg.max_tracked_blocks = 8;  // a third of the blocks
+    cfg.max_sharers = 2;         // of 3 hosts
+  }
+  CohRig rig(3, cfg);
   Rng rng(seed);
 
-  constexpr int kBlocks = 24;
   int completions = 0;
   constexpr int kOps = 400;
   for (int i = 0; i < kOps; ++i) {
@@ -80,14 +101,19 @@ TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
     // Random submission times interleave transactions heavily.
     rig.engine.Schedule(FromNs(100) * rng.NextBelow(400), [&, host, block, write] {
       if (write) {
-        rig.ports[static_cast<std::size_t>(host)]->Write(block, [&] { ++completions; });
+        rig.ports[static_cast<std::size_t>(host)]->Write(block, [&](bool ok) {
+          completions += ok ? 1 : 0;
+        });
       } else {
-        rig.ports[static_cast<std::size_t>(host)]->Read(block, [&] { ++completions; });
+        rig.ports[static_cast<std::size_t>(host)]->Read(block, [&](bool ok) {
+          completions += ok ? 1 : 0;
+        });
       }
     });
   }
   rig.engine.Run();
-  EXPECT_EQ(completions, kOps);  // nothing wedged
+  EXPECT_EQ(completions, kOps);  // nothing wedged, nothing failed
+  EXPECT_TRUE(rig.engine.audit().Sweep().empty());  // incl. filter_bounded, sharers_conserved
 
   // Invariants at quiescence, for every block:
   for (int b = 0; b < kBlocks; ++b) {
@@ -104,12 +130,12 @@ TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
     }
     const auto state = rig.dir->StateOf(block);
     switch (state) {
-      case DirectoryController::BlockState::kModified:
+      case CoherentDirectory::BlockState::kModified:
         // Exactly one M copy exists, and no S copies next to it.
         EXPECT_EQ(modified_holders, 1) << "block " << b;
         EXPECT_EQ(holders, 1) << "block " << b;
         break;
-      case DirectoryController::BlockState::kShared:
+      case CoherentDirectory::BlockState::kShared:
         EXPECT_EQ(modified_holders, 0) << "block " << b;
         EXPECT_GE(holders, 1) << "block " << b;
         // The directory may conservatively remember more sharers than
@@ -118,15 +144,24 @@ TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
         EXPECT_GE(rig.dir->SharerCount(block), static_cast<std::size_t>(holders))
             << "block " << b;
         break;
-      case DirectoryController::BlockState::kUncached:
+      case CoherentDirectory::BlockState::kUncached:
         EXPECT_EQ(holders, 0) << "block " << b;
         break;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CcNumaFuzzTest,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+std::vector<CohFuzzCase> CohFuzzCases() {
+  std::vector<CohFuzzCase> cases;
+  for (const bool bounded : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
+      cases.push_back(CohFuzzCase{seed, bounded});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CcNumaFuzzTest, ::testing::ValuesIn(CohFuzzCases()));
 
 // ------------------------------ COMA fuzz --------------------------------
 
