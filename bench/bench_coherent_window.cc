@@ -96,6 +96,9 @@ Outcome Drive(Cluster& cluster, UniFabricRuntime& runtime, int hosts, double wri
     (*loop)();
   }
   cluster.engine().RunUntil(kHorizon);
+  for (auto& loop : loops) {
+    *loop = nullptr;  // the loop captures itself; break the cycle
+  }
 
   Outcome out;
   out.ops = *total;

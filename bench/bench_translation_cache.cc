@@ -104,6 +104,7 @@ ChurnOutcome RunChurn(int burst) {
     }
   }
   cluster.engine().RunUntil(kChurnHorizon);
+  *loop = nullptr;  // the loop captures itself; break the cycle
 
   const TranslationCacheStats& cache = reader->cache()->stats();
   out.hit_rate = cache.HitRate();
@@ -167,6 +168,7 @@ ProfilerOutcome RunProfilerScale() {
     (*loop)();
   }
   cluster.engine().RunUntil(FromUs(220.0));  // four 50 us epochs
+  *loop = nullptr;  // the loop captures itself; break the cycle
 
   const ShardedTemperatureProfiler& prof = heap->profiler();
   ProfilerOutcome out;

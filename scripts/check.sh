@@ -13,7 +13,10 @@
 # must still match its golden bit-for-bit, two back-to-back audited runs
 # must print identical [unifab-audit] digest lines, and an audited run with
 # UNIFAB_SHARDS=4 worker threads must reproduce those digest lines (and the
-# golden) bit-for-bit — the sharded-engine determinism contract.
+# golden) bit-for-bit — the sharded-engine determinism contract. Finally,
+# audited runs of every such bench from the Release and ASan build trees
+# must print the default build's digest lines too: no build type or
+# sanitizer may change the event stream.
 #
 # Golden pairs are auto-discovered: dropping bench/golden/BENCH_<x>.json
 # into the tree gates bench_<x> in both the plain and audited passes with
@@ -115,6 +118,22 @@ check_shard_digests() {
   diff -u "${audit_dir}/${bin}.run1.digest" "${audit_dir}/${bin}.shards.digest"
 }
 
+# The cross-build gate: an audited run from another build tree (Release,
+# ASan) must print the exact digest lines of the default build's first
+# audited run, so compiler flags and instrumentation cannot reorder events.
+check_cross_build_digests() {
+  local bin="$1" build_dir="$2"
+  local audit_dir="${ROOT}/build/bench/audit"
+  local tag
+  tag="$(basename "${build_dir}")"
+  echo "=== audit: ${bin} digest determinism in ${tag} ==="
+  (cd "${build_dir}/bench" && UNIFAB_AUDIT=1 "./${bin}" \
+      > "${audit_dir}/${bin}.${tag}.out" 2> "${audit_dir}/${bin}.${tag}.err")
+  grep '^\[unifab-audit\] digest=' "${audit_dir}/${bin}.${tag}.err" \
+      > "${audit_dir}/${bin}.${tag}.digest"
+  diff -u "${audit_dir}/${bin}.run1.digest" "${audit_dir}/${bin}.${tag}.digest"
+}
+
 run_pass "${ROOT}/build"
 
 # The whole suite must also hold with invariant auditing on: every sweep
@@ -198,6 +217,17 @@ EOF
 done < "${ROOT}/bench/baseline/engine_micro_floor.txt"
 
 run_pass "${ROOT}/build-asan" -DUNIFAB_SANITIZE=ON
+
+if [[ "${AUDIT}" == "1" ]]; then
+  for build_dir in "${ROOT}/build-release" "${ROOT}/build-asan"; do
+    while read -r bin _golden; do
+      check_cross_build_digests "${bin}" "${build_dir}"
+    done < <(golden_pairs)
+    for bin in ${AUDIT_EXTRA}; do
+      check_cross_build_digests "${bin}" "${build_dir}"
+    done
+  done
+fi
 
 # ThreadSanitizer leg: the sharded engine's worker pool, cross-shard
 # mailboxes, and Link boundary protocol must be race-free when windows run

@@ -67,21 +67,23 @@ class CohPtr {
     const std::uint32_t n = blocks();
     auto cbp = std::make_shared<std::function<void(const T&, bool)>>(std::move(cb));
     auto step = std::make_shared<std::function<void(std::uint32_t)>>();
-    auto finish = [w, a, cbp, step](bool ok) {
+    auto finish = [w, a, cbp](bool ok) {
       T value;
       std::memcpy(&value, w->Shadow(a), sizeof(T));
       auto done = std::move(*cbp);
-      *step = nullptr;  // break the self-reference cycle
       if (done) {
         done(value, ok);
       }
     };
-    *step = [port, a, bb, n, step, finish](std::uint32_t i) {
+    // `step` refers to itself weakly; the block access in flight holds it, so
+    // an access the run ends on is freed with its callback, not leaked.
+    *step = [port, a, bb, n, self = std::weak_ptr(step), finish](std::uint32_t i) {
       if (i >= n) {
         finish(true);
         return;
       }
-      port->Read(a + i * bb, std::function<void(bool)>([step, finish, i](bool ok) {
+      port->Read(a + i * bb,
+                 std::function<void(bool)>([step = self.lock(), finish, i](bool ok) {
                    if (!ok) {
                      finish(false);
                      return;
@@ -113,24 +115,25 @@ class CohPtr {
         static_cast<const std::uint8_t*>(src), static_cast<const std::uint8_t*>(src) + len);
     auto cbp = std::make_shared<std::function<void(bool)>>(std::move(cb));
     auto step = std::make_shared<std::function<void(std::uint32_t)>>();
-    auto finish = [w, a, offset, bytes, cbp, step](bool ok) {
+    auto finish = [w, a, offset, bytes, cbp](bool ok) {
       if (ok) {
         // Commit the shadow only once every covered block is held in M: a
         // failed write must never become visible.
         std::memcpy(w->Shadow(a + offset), bytes->data(), bytes->size());
       }
       auto done = std::move(*cbp);
-      *step = nullptr;
       if (done) {
         done(ok);
       }
     };
-    *step = [port, a, bb, last, step, finish](std::uint32_t i) {
+    // Weak self-reference, as in Read.
+    *step = [port, a, bb, last, self = std::weak_ptr(step), finish](std::uint32_t i) {
       if (i > last) {
         finish(true);
         return;
       }
-      port->Write(a + i * bb, std::function<void(bool)>([step, finish, i](bool ok) {
+      port->Write(a + i * bb,
+                  std::function<void(bool)>([step = self.lock(), finish, i](bool ok) {
                     if (!ok) {
                       finish(false);
                       return;

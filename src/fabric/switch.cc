@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace unifab {
 
 void SwitchStats::BindTo(MetricGroup& group, const std::string& prefix) const {
+  group.AddCounterFn(prefix + "flits_received", [this] { return flits_received; });
   group.AddCounterFn(prefix + "flits_forwarded", [this] { return flits_forwarded; });
   group.AddCounterFn(prefix + "flits_dropped", [this] { return flits_dropped; });
+  group.AddCounterFn(prefix + "flits_unroutable", [this] { return flits_unroutable; });
   group.AddCounterFn(prefix + "hol_blocked_events", [this] { return hol_blocked_events; });
   group.AddSummaryFn(prefix + "queueing_ns", [this] { return &queueing_ns; });
 }
@@ -17,6 +21,44 @@ FabricSwitch::FabricSwitch(Engine* engine, const SwitchConfig& config, std::stri
     : engine_(engine), config_(config), name_(std::move(name)) {
   metrics_ = MetricGroup(&engine_->metrics(), "fabric/switch/" + name_);
   stats_.BindTo(metrics_);
+  audit_ = AuditScope(&engine_->audit(), "fabric/switch/" + name_);
+  // Every flit handed to ReceiveFlit is, at any event boundary, exactly one
+  // of: forwarded, dropped at ingress, unroutable, or still buffered. The
+  // buffered count is recomputed from the queues and must also match the
+  // arbiter's running totals (queued_ and every waiting_[out]).
+  audit_.AddCheck("flit_conservation", [this]() -> std::string {
+    std::uint64_t buffered = 0;
+    std::vector<std::uint64_t> per_out(ports_.size(), 0);
+    for (const InputPort& in : inputs_) {
+      for (const auto& q : in.queues) {
+        buffered += q.size();
+        for (const QueuedFlit& qf : q) {
+          ++per_out[static_cast<std::size_t>(qf.out_port)];
+        }
+      }
+    }
+    const std::uint64_t ingress_drops = stats_.flits_dropped - crossbar_drops_;
+    const std::uint64_t accounted =
+        stats_.flits_forwarded + ingress_drops + stats_.flits_unroutable + buffered;
+    if (stats_.flits_received != accounted) {
+      return "received=" + std::to_string(stats_.flits_received) + " != forwarded(" +
+             std::to_string(stats_.flits_forwarded) + ") + dropped(" +
+             std::to_string(ingress_drops) + ") + unroutable(" +
+             std::to_string(stats_.flits_unroutable) + ") + buffered(" +
+             std::to_string(buffered) + ")";
+    }
+    if (queued_ != buffered) {
+      return "queued=" + std::to_string(queued_) + " != buffered(" + std::to_string(buffered) +
+             ")";
+    }
+    for (std::size_t out = 0; out < per_out.size(); ++out) {
+      if (waiting_[out] != per_out[out]) {
+        return "waiting[" + std::to_string(out) + "]=" + std::to_string(waiting_[out]) +
+               " != buffered(" + std::to_string(per_out[out]) + ")";
+      }
+    }
+    return {};
+  });
 }
 
 int FabricSwitch::AttachPort(LinkEndpoint* endpoint) {
@@ -24,6 +66,7 @@ int FabricSwitch::AttachPort(LinkEndpoint* endpoint) {
   ports_.push_back(endpoint);
   inputs_.emplace_back();
   outputs_.emplace_back();
+  waiting_.push_back(0);
   endpoint->Bind(this, port);
   endpoint->SetDrainCallback([this] { ScheduleArbitration(); });
   // Size every input's queue vector for the new port count.
@@ -59,11 +102,13 @@ int FabricSwitch::PriorityOf(PbrId src) const {
 
 void FabricSwitch::ReceiveFlit(const Flit& flit, int port) {
   assert(port >= 0 && port < num_ports());
+  ++stats_.flits_received;
   const int out = RouteFor(flit.dst);
   // An unroutable flit is dropped; the input credit is returned so the link
   // does not wedge. Real switches raise an error interrupt here.
   if (out < 0) {
     ports_[port]->ReturnCredit(flit.channel);
+    ++stats_.flits_unroutable;
     return;
   }
   // A reroute can overtake a mid-flight flit and leave its best path
@@ -79,6 +124,8 @@ void FabricSwitch::ReceiveFlit(const Flit& flit, int port) {
   InputPort& in = inputs_[port];
   const std::size_t qi = config_.virtual_output_queues ? static_cast<std::size_t>(out) : 0;
   in.queues[qi].push_back(QueuedFlit{flit, out, engine_->Now(), arrival_counter_++});
+  ++queued_;
+  ++waiting_[static_cast<std::size_t>(out)];
   ScheduleArbitration();
 }
 
@@ -101,9 +148,12 @@ void FabricSwitch::Arbitrate() {
     ReallocateCredits();
     next_realloc_ = engine_->Now() + config_.credit_realloc_period;
   }
-  // Keep matching inputs to outputs until no output can make progress.
+  // Keep matching inputs to outputs until no output can make progress or
+  // nothing is left buffered. Most passes come from link drain callbacks
+  // while the switch is empty; with no flit queued no output can move and
+  // no single-FIFO head can block, so such a pass ends here.
   bool progress = true;
-  while (progress) {
+  while (progress && queued_ != 0) {
     progress = false;
     for (int out = 0; out < num_ports(); ++out) {
       if (ForwardOneTo(out)) {
@@ -136,6 +186,8 @@ void FabricSwitch::PopHead(int input, int out) {
   auto& q = config_.virtual_output_queues ? in.queues[static_cast<std::size_t>(out)]
                                           : in.queues[0];
   q.pop_front();
+  --queued_;
+  --waiting_[static_cast<std::size_t>(out)];
 }
 
 bool FabricSwitch::OutputCanAccept(int out, Channel channel) const {
@@ -217,7 +269,8 @@ int FabricSwitch::PickInput(int out) {
 }
 
 bool FabricSwitch::ForwardOneTo(int out) {
-  const int input = PickInput(out);
+  // With no flit buffered for `out`, no head can want it.
+  const int input = waiting_[static_cast<std::size_t>(out)] == 0 ? -1 : PickInput(out);
   if (input < 0) {
     // Measure head-of-line blocking: in single-FIFO mode, count cases where
     // the head cannot move but a flit behind it could have.
@@ -254,7 +307,6 @@ bool FabricSwitch::ForwardOneTo(int out) {
   outputs_[out].rr_next_input = (input + 1) % num_ports();
   outputs_[out].reserved[static_cast<int>(flit.channel)]++;
   inputs_[input].forwarded_this_period++;
-  inputs_[input].had_backlog = true;
 
   // The input buffer slot frees as soon as the flit enters the crossbar
   // (cut-through), so return the upstream credit now.
@@ -271,6 +323,7 @@ bool FabricSwitch::ForwardOneTo(int out) {
       // link failed while the flit crossed the crossbar: drop it (§3 #5 —
       // nothing downstream will signal the loss).
       ++stats_.flits_dropped;
+      ++crossbar_drops_;
     }
     ScheduleArbitration();
   });

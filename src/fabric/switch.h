@@ -21,6 +21,7 @@
 
 #include "src/fabric/flit.h"
 #include "src/fabric/link.h"
+#include "src/sim/audit.h"
 #include "src/sim/engine.h"
 #include "src/sim/metrics.h"
 #include "src/sim/stats.h"
@@ -61,10 +62,12 @@ struct SwitchConfig {
 };
 
 struct SwitchStats {
+  std::uint64_t flits_received = 0;
   std::uint64_t flits_forwarded = 0;
   std::uint64_t flits_dropped = 0;       // output link failed mid-crossbar, or
                                          // a post-reroute hairpin (route points
                                          // back out the arrival port)
+  std::uint64_t flits_unroutable = 0;    // no route for the destination
   std::uint64_t hol_blocked_events = 0;  // head blocked while a later flit could go
   Summary queueing_ns;                   // input-buffer residency per flit
 
@@ -121,9 +124,7 @@ class FabricSwitch : public FlitReceiver {
     // Non-VOQ mode uses queues[0]; VOQ mode uses one queue per output port.
     std::vector<std::deque<QueuedFlit>> queues;
     double weight = 1.0;
-    double deficit = 0.0;
     std::uint64_t forwarded_this_period = 0;
-    bool had_backlog = false;
   };
 
   struct OutputPort {
@@ -134,8 +135,12 @@ class FabricSwitch : public FlitReceiver {
   };
 
   void ScheduleArbitration();
+  // Costs O(1) when no flit is buffered, so the drain callbacks that find
+  // an idle switch skip the n x n scan.
   void Arbitrate();
   // Attempts to forward one flit to `out`. Returns true if a flit moved.
+  // An output with nothing waiting skips the input scan; single-FIFO mode
+  // still runs its head-of-line scan.
   bool ForwardOneTo(int out);
   // Picks the input whose head (for `out`) should win, or -1.
   int PickInput(int out);
@@ -157,8 +162,18 @@ class FabricSwitch : public FlitReceiver {
   Tick next_realloc_ = 0;
   bool arb_scheduled_ = false;
   std::uint64_t arrival_counter_ = 0;
+  // Flits held in input buffers, in total and per output port. Updated only
+  // in ReceiveFlit (enqueue) and PopHead (dequeue); the flit_conservation
+  // audit check recounts both from the queues.
+  std::uint64_t queued_ = 0;
+  std::vector<std::uint64_t> waiting_;
+  // Forwarded flits dropped because the output link failed mid-crossbar; the
+  // rest of flits_dropped never left an input buffer.
+  std::uint64_t crossbar_drops_ = 0;
   SwitchStats stats_;
-  MetricGroup metrics_;
+  MetricGroup metrics_;  // after the state the metrics and checks read
+  AuditScope audit_;
+  friend class AuditTestPeer;
 };
 
 }  // namespace unifab

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/fabric/interconnect.h"
+#include "src/sim/audit.h"
 #include "src/sim/engine.h"
+#include "src/sim/random.h"
 
 namespace unifab {
 namespace {
@@ -115,6 +119,8 @@ TEST(SwitchTest, UnroutableFlitIsDroppedWithoutWedging) {
   star.engine.Run();
   // The bogus flit vanished; the good one still arrived.
   EXPECT_EQ(star.nodes[1]->received.size(), 1u);
+  EXPECT_EQ(star.sw->stats().flits_unroutable, 1u);
+  EXPECT_EQ(star.sw->stats().flits_received, 2u);
 }
 
 TEST(SwitchTest, DefaultRouteCatchesForeignDomains) {
@@ -268,6 +274,109 @@ TEST(SwitchTest, VirtualOutputQueuesAvoidHolBlocking) {
   // congested head.
   EXPECT_GE(voq.idle_sink_arrivals, fifo.idle_sink_arrivals);
   EXPECT_EQ(voq.idle_sink_arrivals, 10u);
+}
+
+// Forwarding-order pin: seeded random traffic through a 6-port star, with a
+// slow, shallow-buffered sink (node 5) so inputs contend and single-FIFO heads
+// block. Every delivery is folded into a digest as (tick, out, src, txn, seq).
+// A delivery is its forward shifted by the egress path's deterministic
+// crossbar and link latency, so the digest pins which flit each output
+// forwarded and when: the rr_next_input rotation, the ArrivesBefore
+// tie-break, the weighted and priority picks and the ramp-up allocator's
+// timing. The expected values were recorded from the arbiter that scanned
+// every input for every output on every pass. The invariant sweep runs after
+// every event.
+struct OrderResult {
+  std::uint64_t digest;
+  std::uint64_t hol_events;
+  std::uint64_t forwarded;
+};
+
+OrderResult RunRandomTraffic(SwitchArbitration arbitration, bool virtual_output_queues,
+                             CreditAllocPolicy credit_alloc) {
+  SwitchConfig cfg;
+  cfg.arbitration = arbitration;
+  cfg.virtual_output_queues = virtual_output_queues;
+  cfg.credit_alloc = credit_alloc;
+  cfg.credit_realloc_period = FromNs(200);
+  LinkConfig slow_link;
+  slow_link.credits_per_vc = 2;
+  slow_link.tx_queue_depth = 2;
+  Star star(6, cfg, LinkConfig{}, /*slow_node=*/5, /*slow_hold=*/FromNs(300), slow_link);
+  star.engine.SetAuditCadence(1);
+  star.sw->SetSourcePriority(star.nodes[2]->self, 5);
+  star.sw->SetSourcePriority(star.nodes[4]->self, 2);
+
+  Rng rng(0x5EED);
+  for (int i = 0; i < 600; ++i) {
+    const auto src = static_cast<std::size_t>(rng.NextBelow(6));
+    PbrId dst = 0x0FFF;  // unroutable, ~2% of the traffic
+    if (!rng.NextBool(0.02)) {
+      // ~40% to the slow sink, the rest spread over the other nodes.
+      std::size_t to = rng.NextBool(0.4) ? 5 : static_cast<std::size_t>(rng.NextBelow(5));
+      if (to == src) {
+        to = (to + 1) % 6;
+      }
+      dst = star.nodes[to]->self;
+    }
+    const auto channel = static_cast<Channel>(rng.NextBelow(kNumChannels));
+    const Tick at = FromNs(static_cast<double>(rng.NextBelow(3000)));
+    star.engine.Schedule(at, [&star, src, dst, channel] {
+      star.nodes[src]->Send(dst, channel);
+    });
+  }
+  star.engine.Run();
+
+  RunDigest digest;
+  for (std::size_t out = 0; out < star.nodes.size(); ++out) {
+    for (const auto& a : star.nodes[out]->received) {
+      digest.Fold(a.at);
+      digest.Fold(out);
+      digest.Fold(a.flit.src);
+      digest.Fold(a.flit.txn_id);
+      digest.Fold(a.flit.seq);
+    }
+  }
+  return OrderResult{digest.value(), star.sw->stats().hol_blocked_events,
+                     star.sw->stats().flits_forwarded};
+}
+
+TEST(SwitchTest, ForwardingOrderIsPinnedForEveryPolicy) {
+  struct Case {
+    SwitchArbitration arbitration;
+    bool voq;
+    CreditAllocPolicy alloc;
+    OrderResult expected;
+  };
+  using A = SwitchArbitration;
+  using C = CreditAllocPolicy;
+  const Case cases[] = {
+      {A::kFifo, false, C::kStatic, {0x9627a1c3f11b977aULL, 44948, 578}},
+      {A::kFifo, false, C::kExponentialRampUp, {0x9627a1c3f11b977aULL, 44948, 578}},
+      {A::kFifo, true, C::kStatic, {0x237098e32b31623bULL, 0, 578}},
+      {A::kFifo, true, C::kExponentialRampUp, {0x237098e32b31623bULL, 0, 578}},
+      {A::kRoundRobin, false, C::kStatic, {0x69f2c1964187fe2eULL, 46621, 578}},
+      {A::kRoundRobin, false, C::kExponentialRampUp, {0x69f2c1964187fe2eULL, 46621, 578}},
+      {A::kRoundRobin, true, C::kStatic, {0x46d3eea331c0cc7cULL, 0, 578}},
+      {A::kRoundRobin, true, C::kExponentialRampUp, {0x46d3eea331c0cc7cULL, 0, 578}},
+      {A::kWeighted, false, C::kStatic, {0x69f2c1964187fe2eULL, 46621, 578}},
+      {A::kWeighted, false, C::kExponentialRampUp, {0x9232e6df22dc6da7ULL, 40008, 578}},
+      {A::kWeighted, true, C::kStatic, {0x46d3eea331c0cc7cULL, 0, 578}},
+      {A::kWeighted, true, C::kExponentialRampUp, {0x70b9ae18c3482823ULL, 0, 578}},
+      {A::kPriority, false, C::kStatic, {0x063576f1c4a0a6eeULL, 41938, 578}},
+      {A::kPriority, false, C::kExponentialRampUp, {0x063576f1c4a0a6eeULL, 41938, 578}},
+      {A::kPriority, true, C::kStatic, {0x2c409014b2a700c4ULL, 0, 578}},
+      {A::kPriority, true, C::kExponentialRampUp, {0x2c409014b2a700c4ULL, 0, 578}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("arbitration=" + std::to_string(static_cast<int>(c.arbitration)) +
+                 " voq=" + std::to_string(c.voq) +
+                 " alloc=" + std::to_string(static_cast<int>(c.alloc)));
+    const OrderResult r = RunRandomTraffic(c.arbitration, c.voq, c.alloc);
+    EXPECT_EQ(r.digest, c.expected.digest);
+    EXPECT_EQ(r.hol_events, c.expected.hol_events);
+    EXPECT_EQ(r.forwarded, c.expected.forwarded);
+  }
 }
 
 TEST(SwitchTest, ExponentialRampUpGrowsHeavyInputWeight) {

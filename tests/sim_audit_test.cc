@@ -27,6 +27,7 @@
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
 #include "src/fabric/link.h"
+#include "src/fabric/switch.h"
 #include "src/sim/engine.h"
 #include "src/sim/stats.h"
 #include "src/topo/cluster.h"
@@ -45,6 +46,9 @@ class AuditTestPeer {
   }
   static std::uint64_t& LinkAccepted(Link& l, int sender_side) {
     return l.dirs_[sender_side].stats.flits_accepted;
+  }
+  static std::uint64_t& SwitchWaiting(FabricSwitch& s, int out) {
+    return s.waiting_[static_cast<std::size_t>(out)];
   }
 
   static void SeedStaleMshr(HostAdapter& a, std::uint64_t txn_id) {
@@ -199,6 +203,23 @@ TEST(SeededViolationTest, LinkFlitConservation) {
   EXPECT_TRUE(AnyPathEndsWith(engine.audit().Sweep(),
                               "fabric/link/l0/flit_conservation"));
   --accepted;
+  EXPECT_TRUE(engine.audit().Sweep().empty());
+}
+
+TEST(SeededViolationTest, SwitchFlitConservation) {
+  Engine engine;
+  FabricSwitch sw(&engine, SwitchConfig{}, "sw0");
+  Link l0(&engine, LinkConfig{}, 3, "l0");
+  Link l1(&engine, LinkConfig{}, 4, "l1");
+  sw.AttachPort(&l0.end(0));
+  sw.AttachPort(&l1.end(0));
+  EXPECT_TRUE(engine.audit().Sweep().empty());
+
+  std::uint64_t& waiting = AuditTestPeer::SwitchWaiting(sw, 1);
+  ++waiting;  // the arbiter believes a flit waits for port 1; no queue holds it
+  EXPECT_TRUE(AnyPathEndsWith(engine.audit().Sweep(),
+                              "fabric/switch/sw0/flit_conservation"));
+  --waiting;
   EXPECT_TRUE(engine.audit().Sweep().empty());
 }
 
