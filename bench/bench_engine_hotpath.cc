@@ -7,8 +7,6 @@
 // machine-dependent, so this report is deliberately NOT a golden file; the
 // speedup ratios are what scripts/check.sh gates on (via --enforce).
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -67,12 +65,6 @@ constexpr ParallelFloor kParFloor = {
 
 double WallSeconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-double PeakRssMb() {
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
 }
 
 // Workload 1 — schedule/fire ping-pong: one live event at a time, the
@@ -194,8 +186,8 @@ double RunFig1ClosedLoop(std::uint64_t per_core, int workers, std::uint64_t* fir
 
 // Workload 5 — multi-chassis eTrans + unified-heap mix: two hosts running
 // zipf-skewed closed-loop heap reads against fabric-resident objects while
-// two rotating 1 MiB eTrans bulk copies hop between four FAM chassis. With
-// shard_by_domain this spreads over 7 shards (root + 2 switches + 4 FAMs),
+// two rotating 1 MiB eTrans bulk copies hop between four FAM chassis. Sharded
+// by domain, this spreads over 7 shards (root + 2 switches + 4 FAMs),
 // so it is the shard-scaling counterpart of the runtime-heavy benches.
 double RunEtransHeapMix(Tick horizon, int workers, std::uint64_t* fired_out) {
   ClusterConfig cfg;

@@ -7,6 +7,8 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <sys/resource.h>
+
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +29,13 @@ inline void PrintHeader(const std::string& experiment, const std::string& artifa
 }
 
 inline void PrintFooter() { std::printf("\n"); }
+
+// The process's peak resident set so far, in MiB.
+inline double PeakRssMb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
+}
 
 // Accumulates a bench run's headline numbers plus full MetricRegistry
 // snapshots and writes them as one JSON object to BENCH_<name>.json in the
@@ -60,7 +69,8 @@ class BenchReport {
   // seconds) go here, NOT in Note(): the "perf" section is stripped by
   // scripts/check.sh before golden diffs, so it may vary run to run while
   // "results" and "metrics" stay bit-exact. Values are flat numbers only —
-  // the stripper relies on the section containing no nested braces.
+  // the stripper relies on the section containing no nested braces. Every
+  // report's perf section ends with peak_rss_mb, read when it is rendered.
   void Perf(const std::string& key, double value) { perf_.emplace_back(key, Num(value)); }
   void Perf(const std::string& key, std::uint64_t value) {
     char buf[32];
@@ -99,18 +109,11 @@ class BenchReport {
       }
       out += Quote(captures_[i].first) + ":" + captures_[i].second;
     }
-    out += '}';
-    if (!perf_.empty()) {
-      out += ",\"perf\":{";
-      for (std::size_t i = 0; i < perf_.size(); ++i) {
-        if (i != 0) {
-          out += ',';
-        }
-        out += Quote(perf_[i].first) + ":" + perf_[i].second;
-      }
-      out += '}';
+    out += "},\"perf\":{";
+    for (const auto& [key, value] : perf_) {
+      out += Quote(key) + ":" + value + ",";
     }
-    out += "}\n";
+    out += Quote("peak_rss_mb") + ":" + Num(PeakRssMb()) + "}}\n";
     return out;
   }
 

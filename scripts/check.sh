@@ -5,8 +5,8 @@
 # AddressSanitizer/UBSan build (UNIFAB_SANITIZE=ON), and a
 # ThreadSanitizer build (UNIFAB_SANITIZE=thread) running the concurrency
 # subset — plus the deterministic golden-JSON diffs (non-golden "perf"
-# sections stripped) and the engine hot-path throughput gates. Run from
-# anywhere.
+# sections stripped), the engine hot-path throughput gates and a peak-RSS
+# bound on bench_pod_scaleout. Run from anywhere.
 #
 # --audit additionally gates determinism: the full test suite re-runs with
 # UNIFAB_AUDIT=1 (invariant sweeps + run digests on), each audited bench
@@ -151,6 +151,20 @@ UNIFAB_SHARDS="${SHARDS}" ctest --test-dir "${ROOT}/build" --output-on-failure -
 while read -r bin golden; do
   check_golden "${bin}" "${golden}"
 done < <(golden_pairs)
+
+# Memory gate: the 64-host leg of bench_pod_scaleout once peaked at 3.3 GB
+# (a never-used 32 MiB LLC tag array per core). Its default-build peak RSS,
+# reported in the non-golden perf section, must stay under this bound.
+POD_RSS_LIMIT_MB=300
+echo "=== bench: bench_pod_scaleout peak RSS <= ${POD_RSS_LIMIT_MB} MB ==="
+(cd "${ROOT}/build/bench" && ./bench_pod_scaleout > /dev/null)
+python3 - "${ROOT}/build/bench/BENCH_pod_scaleout.json" "${POD_RSS_LIMIT_MB}" <<'EOF'
+import json, sys
+rss = json.load(open(sys.argv[1]))["perf"]["peak_rss_mb"]
+print(f"    peak_rss_mb {rss}")
+if rss > float(sys.argv[2]):
+    sys.exit(f"FAIL: bench_pod_scaleout peak RSS {rss} MB > {sys.argv[2]} MB")
+EOF
 
 if [[ "${AUDIT}" == "1" ]]; then
   while read -r bin golden; do

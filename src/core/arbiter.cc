@@ -344,7 +344,7 @@ void FabricArbiter::HandleMessage(const FabricMessage& msg) {
       case ArbiterMsg::Kind::kReserve: {
         ++stats_.reservations;
         const FlowKey flow{src, m.tenant};
-        if (m.qos == QosClass::kGuaranteed && config_.preempt_best_effort) {
+        if (m.qos == QosClass::kGuaranteed) {
           // A guaranteed request must not starve behind a committed pool:
           // evict best-effort leases first so the grant below is real
           // capacity, not transient overcommit.

@@ -71,10 +71,9 @@ struct ArbiterConfig {
 
   // QoS policy, indexed by QosClass. The defaults leave single-class
   // (all-best-effort) workloads on the exact legacy max-min path.
+  // A guaranteed-class Reserve evicts best-effort leases when the pool is
+  // fully committed (counted under core/arbiter/qos/preemptions).
   QosClassConfig qos[kNumQosClasses] = {{8.0, 0.0}, {2.0, 0.0}, {1.0, 0.0}};
-  // A guaranteed-class Reserve may evict best-effort leases when the pool
-  // is fully committed (counted under core/arbiter/qos/preemptions).
-  bool preempt_best_effort = true;
 };
 
 struct ArbiterStats {

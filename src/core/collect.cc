@@ -30,6 +30,7 @@ void CollectiveStats::BindTo(MetricGroup& group, const std::string& prefix) cons
 CollectiveEngine::CollectiveEngine(Engine* engine, ETransEngine* etrans,
                                    FabricInterconnect* fabric, CollectiveConfig config)
     : engine_(engine), etrans_(etrans), fabric_(fabric), config_(config) {
+  assert(config_.max_queued_collectives >= 1 && "admission queue bound must be >= 1");
   metrics_ = MetricGroup(&engine_->metrics(), "core/collect");
   stats_.BindTo(metrics_);
   audit_ = AuditScope(&engine_->audit(), "core/collect");
@@ -178,7 +179,7 @@ CollectiveFuture CollectiveEngine::Run(const CollectiveGroup& group, CollectiveS
     Finish(ac, /*ok=*/true, TransferStatus::kOk);
     return ac->future;
   }
-  if (config_.max_queued_collectives > 0 && AnyMemberBusy(ac->group)) {
+  if (AnyMemberBusy(ac->group)) {
     // Bounded admission (ROADMAP item 4): wait for the members instead of
     // racing transfers over buffers another collective is still using.
     if (static_cast<int>(admit_queue_.size()) >= config_.max_queued_collectives) {
@@ -224,7 +225,7 @@ ArbiterClient* CollectiveEngine::ReservationClient(const std::shared_ptr<Active>
 }
 
 void CollectiveEngine::ReserveThenLaunch(const std::shared_ptr<Active>& ac) {
-  ArbiterClient* client = config_.reserve_bandwidth ? ReservationClient(ac) : nullptr;
+  ArbiterClient* client = ReservationClient(ac);
   if (client == nullptr) {
     LaunchReady(ac);
     return;

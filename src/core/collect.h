@@ -74,7 +74,6 @@ struct CollectiveConfig {
   // the schedule before launch (released at completion, renewed at the
   // lease cadence while running). Denied reservations are counted but do
   // not block the collective — progress beats precision under contention.
-  bool reserve_bandwidth = true;
   double reserve_mbps = 2000.0;
 
   // Step-level retry budget on top of eTrans's own per-transfer retries:
@@ -86,7 +85,7 @@ struct CollectiveConfig {
   // busy in an admitted collective waits in a FIFO queue of at most this
   // many entries (admitted when all members free up); beyond that it is
   // rejected with kAborted instead of racing transfers on busy members.
-  // 0 disables admission control (the legacy launch-immediately behavior).
+  // Must be >= 1.
   int max_queued_collectives = 8;
 };
 

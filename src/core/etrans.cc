@@ -637,7 +637,7 @@ void ETransEngine::OnAttemptDone(const std::shared_ptr<PendingTransfer>& pt,
   }
 
   ++recovery_stats_.retries;
-  if (recovery_.reroute_on_retry && reroute_) {
+  if (reroute_) {
     // Let the fabric manager rebuild routing tables around whatever died
     // before the redrive resolves its path.
     reroute_();

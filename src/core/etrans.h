@@ -227,7 +227,6 @@ struct ETransRecoveryConfig {
   Tick initial_backoff = FromUs(25.0);
   Tick max_backoff = FromUs(800.0);
   double backoff_multiplier = 2.0;
-  bool reroute_on_retry = true;      // re-resolve routes before each retry
 };
 
 struct ETransRecoveryStats {

@@ -28,7 +28,6 @@ void ITaskStats::BindTo(MetricGroup& group, const std::string& prefix) const {
   group.AddCounterFn(prefix + "reexecutions", [this] { return reexecutions; });
   group.AddCounterFn(prefix + "snapshots_created", [this] { return snapshots_created; });
   group.AddCounterFn(prefix + "restarts", [this] { return restarts; });
-  group.AddCounterFn(prefix + "dropped_unsafe", [this] { return dropped_unsafe; });
   group.AddSummaryFn(prefix + "task_latency_us", [this] { return &task_latency_us; });
 }
 
@@ -53,7 +52,7 @@ TaskId ITaskRuntime::Submit(TaskSpec spec) {
   // The "compilation framework": make clobbering regions idempotent by
   // snapshotting the inputs they overwrite.
   const IdempotenceReport report = AnalyzeIdempotence(task->spec);
-  if (!report.idempotent && config_.snapshot_inputs) {
+  if (!report.idempotent) {
     for (ObjectId clobbered : report.clobbered_inputs) {
       const ObjectInfo info = heap_->Info(clobbered);
       const ObjectId snap = heap_->Allocate(info.size, info.tier);
@@ -151,13 +150,6 @@ void ITaskRuntime::StartAttempt(TaskId id) {
   ++stats_.attempts;
   if (task->attempts > 1) {
     ++stats_.reexecutions;
-    const IdempotenceReport report = AnalyzeIdempotence(task->spec);
-    if (!report.idempotent && !config_.snapshot_inputs) {
-      // The region reads data it already overwrote: re-execution is not
-      // semantically safe. We count it; the restart-all baseline avoids it
-      // by re-running the whole job instead.
-      ++stats_.dropped_unsafe;
-    }
   }
 
   const std::uint64_t attempt_tag = ++attempt_counter_;

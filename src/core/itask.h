@@ -71,7 +71,6 @@ enum class RecoveryMode {
 struct ITaskConfig {
   Tick attempt_timeout = FromUs(400.0);
   int max_attempts = 16;
-  bool snapshot_inputs = true;  // auto-restore idempotence for clobbering specs
   RecoveryMode recovery = RecoveryMode::kReexecute;
   std::uint64_t scratch_base = 1ULL << 52;  // FAA scratch address space
 };
@@ -84,9 +83,8 @@ struct ITaskStats {
   std::uint64_t transfer_failures = 0;  // attempts killed by a failed eTrans
   std::uint64_t reexecutions = 0;
   std::uint64_t snapshots_created = 0;
-  std::uint64_t restarts = 0;        // whole-job restarts (kRestartAll)
-  std::uint64_t dropped_unsafe = 0;  // non-idempotent task re-ran without snapshot
-  Summary task_latency_us;           // submit -> commit per task
+  std::uint64_t restarts = 0;  // whole-job restarts (kRestartAll)
+  Summary task_latency_us;     // submit -> commit per task
 
   void BindTo(MetricGroup& group, const std::string& prefix = "") const;
 };

@@ -11,7 +11,6 @@ void HierarchyStats::BindTo(MetricGroup& group, const std::string& prefix) const
   group.AddCounterFn(prefix + "stores", [this] { return stores; });
   group.AddCounterFn(prefix + "l1_hits", [this] { return l1_hits; });
   group.AddCounterFn(prefix + "l2_hits", [this] { return l2_hits; });
-  group.AddCounterFn(prefix + "llc_hits", [this] { return llc_hits; });
   group.AddCounterFn(prefix + "local_mem_accesses", [this] { return local_mem_accesses; });
   group.AddCounterFn(prefix + "remote_mem_accesses", [this] { return remote_mem_accesses; });
   group.AddCounterFn(prefix + "writebacks_to_memory", [this] { return writebacks_to_memory; });
@@ -25,15 +24,11 @@ MemoryHierarchy::MemoryHierarchy(Engine* engine, const HierarchyConfig& config, 
       config_(config),
       name_(std::move(name)),
       l1_(config.l1),
-      l2_(config.l2),
-      llc_(config.llc) {
+      l2_(config.l2) {
   metrics_ = MetricGroup(&engine_->metrics(), "mem/hierarchy/" + name_);
   stats_.BindTo(metrics_);
   l1_.stats().BindTo(metrics_, "l1/");
   l2_.stats().BindTo(metrics_, "l2/");
-  if (config_.has_llc) {
-    llc_.stats().BindTo(metrics_, "llc/");
-  }
 }
 
 void MemoryHierarchy::MapLocal(std::uint64_t base, std::uint64_t size, DramDevice* dram) {
@@ -106,25 +101,9 @@ void MemoryHierarchy::Access(std::uint64_t addr, bool is_write, std::function<vo
     return;
   }
 
-  // LLC probe.
-  Tick path = config_.l1_latency + config_.l2_latency;
-  if (config_.has_llc) {
-    if (llc_.Access(line, is_write)) {
-      ++stats_.llc_hits;
-      if (prefetched_lines_.erase(line) > 0) {
-        ++stats_.prefetch_hits;
-      }
-      const Tick queue = ReserveLevel(llc_next_free_, config_.llc_interval);
-      FillLine(line, is_write);
-      retire(queue + path + config_.llc_latency);
-      return;
-    }
-    path += config_.llc_latency;
-  }
-
   // Memory access (local or fabric).
   MissContext ctx{line, is_write, issued_at, std::move(done), /*is_prefetch=*/false};
-  StartMiss(std::move(ctx), path);
+  StartMiss(std::move(ctx), config_.l1_latency + config_.l2_latency);
 }
 
 void MemoryHierarchy::StartMiss(MissContext ctx, Tick path_latency) {
@@ -204,14 +183,8 @@ void MemoryHierarchy::FinishMiss(const MissContext& ctx) {
 void MemoryHierarchy::FillLine(std::uint64_t line_addr, bool dirty) {
   if (auto ev = l1_.Insert(line_addr, dirty); ev.has_value()) {
     // L1 victim falls into L2.
-    if (auto ev2 = l2_.Insert(ev->line_addr, ev->dirty); ev2.has_value()) {
-      if (config_.has_llc) {
-        if (auto ev3 = llc_.Insert(ev2->line_addr, ev2->dirty); ev3.has_value() && ev3->dirty) {
-          WritebackVictim(ev3->line_addr);
-        }
-      } else if (ev2->dirty) {
-        WritebackVictim(ev2->line_addr);
-      }
+    if (auto ev2 = l2_.Insert(ev->line_addr, ev->dirty); ev2.has_value() && ev2->dirty) {
+      WritebackVictim(ev2->line_addr);
     }
   }
 }
@@ -249,9 +222,7 @@ void MemoryHierarchy::MaybePrefetch(std::uint64_t miss_line) {
         ++stats_.prefetches_issued;
         MissContext ctx{target, /*is_write=*/false, engine_->Now(), nullptr,
                         /*is_prefetch=*/true};
-        StartMiss(std::move(ctx),
-                  config_.l1_latency + config_.l2_latency +
-                      (config_.has_llc ? config_.llc_latency : Tick{0}));
+        StartMiss(std::move(ctx), config_.l1_latency + config_.l2_latency);
       }
     }
     last_stride_ = stride;
@@ -292,10 +263,6 @@ bool MemoryHierarchy::InvalidateLine(std::uint64_t addr, bool* was_dirty) {
     present = true;
     dirty = dirty || d;
   }
-  if (config_.has_llc && llc_.Invalidate(addr, &d)) {
-    present = true;
-    dirty = dirty || d;
-  }
   if (was_dirty != nullptr) {
     *was_dirty = dirty;
   }
@@ -304,13 +271,9 @@ bool MemoryHierarchy::InvalidateLine(std::uint64_t addr, bool* was_dirty) {
 
 void MemoryHierarchy::FlushLine(std::uint64_t addr, std::function<void()> done) {
   const std::uint64_t line = l1_.LineBase(addr);
-  const bool dirty = l1_.IsDirty(line) || l2_.IsDirty(line) ||
-                     (config_.has_llc && llc_.IsDirty(line));
+  const bool dirty = l1_.IsDirty(line) || l2_.IsDirty(line);
   l1_.CleanLine(line);
   l2_.CleanLine(line);
-  if (config_.has_llc) {
-    llc_.CleanLine(line);
-  }
   if (!dirty) {
     if (done) {
       engine_->Schedule(0, std::move(done));
@@ -338,8 +301,7 @@ void MemoryHierarchy::FlushLine(std::uint64_t addr, std::function<void()> done) 
 }
 
 bool MemoryHierarchy::LinePresent(std::uint64_t addr) const {
-  return l1_.Contains(addr) || l2_.Contains(addr) ||
-         (config_.has_llc && llc_.Contains(addr));
+  return l1_.Contains(addr) || l2_.Contains(addr);
 }
 
 }  // namespace unifab

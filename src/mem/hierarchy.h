@@ -1,7 +1,7 @@
 // Host memory hierarchy: the synchronous load/store path of one core.
 //
 // Models paper §3 Difference #1: loads/stores are generated transparently by
-// the cache hierarchy (miss from LLC -> memory read; victim flush -> memory
+// the cache hierarchy (miss from L2 -> memory read; victim flush -> memory
 // write), the pipeline stalls for the duration, and the fabric throughput a
 // core can drive is bounded by its outstanding-miss parallelism (MSHRs).
 // Local DRAM and fabric-attached memory sit behind the same interface, which
@@ -40,19 +40,15 @@ struct AddressRange {
 struct HierarchyConfig {
   CacheConfig l1{32 * 1024, 64, 8};
   CacheConfig l2{1 * 1024 * 1024, 64, 16};
-  CacheConfig llc{32 * 1024 * 1024, 64, 16};
-  bool has_llc = false;
 
   // Latency to *return* from a hit at each level (cumulative path pieces).
   Tick l1_latency = FromNs(5.4);
   Tick l2_latency = FromNs(8.2);    // added on top of the L1 probe
-  Tick llc_latency = FromNs(20.0);  // added on top of L2
   Tick mem_ctrl_latency = FromNs(38.0);  // controller/on-chip network to DRAM
 
   // Minimum gap between two accesses *served by* the same level (bandwidth).
   Tick l1_interval = FromNs(2.8);
   Tick l2_interval = FromNs(6.9);
-  Tick llc_interval = FromNs(8.0);
 
   // Outstanding-miss limit: how many memory-level accesses can be in flight.
   std::uint32_t mshrs = 4;
@@ -70,7 +66,6 @@ struct HierarchyStats {
   std::uint64_t stores = 0;
   std::uint64_t l1_hits = 0;
   std::uint64_t l2_hits = 0;
-  std::uint64_t llc_hits = 0;
   std::uint64_t local_mem_accesses = 0;
   std::uint64_t remote_mem_accesses = 0;
   std::uint64_t writebacks_to_memory = 0;
@@ -146,13 +141,11 @@ class MemoryHierarchy {
   std::string name_;
   SetAssocCache l1_;
   SetAssocCache l2_;
-  SetAssocCache llc_;
   std::vector<AddressRange> ranges_;
   HostAdapter* adapter_ = nullptr;
 
   Tick l1_next_free_ = 0;
   Tick l2_next_free_ = 0;
-  Tick llc_next_free_ = 0;
 
   std::uint32_t mshrs_in_use_ = 0;
   std::deque<std::pair<MissContext, Tick>> waiting_misses_;

@@ -37,12 +37,6 @@
 
 namespace unifab {
 
-// Legacy alias: a scheduled callback. Events are one-shot; recurring
-// behaviour is built by re-scheduling from inside the callback. Callables of
-// any type (lambdas, std::function, function pointers) are accepted directly
-// by Push/Schedule; this alias survives for signatures that store callbacks.
-using EventFn = std::function<void()>;
-
 // Handle used to cancel a scheduled event. Encodes the pooled record's slot
 // plus a generation tag, so cancellation is O(1) and a handle naming an
 // already-fired (and possibly reused) record simply reports failure.

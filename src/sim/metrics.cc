@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 
 namespace unifab {
@@ -80,39 +79,6 @@ std::string MetricRegistry::Insert(const std::string& path, Instrument instrumen
   return final_path;
 }
 
-Counter* MetricRegistry::AddCounter(const std::string& path) {
-  auto owned = std::make_shared<Counter>();
-  Counter* raw = owned.get();
-  Instrument inst;
-  inst.kind = Instrument::Kind::kCounter;
-  inst.counter = [raw] { return raw->Value(); };
-  inst.owned = owned;
-  Insert(path, std::move(inst));
-  return raw;
-}
-
-Gauge* MetricRegistry::AddGauge(const std::string& path) {
-  auto owned = std::make_shared<Gauge>();
-  Gauge* raw = owned.get();
-  Instrument inst;
-  inst.kind = Instrument::Kind::kGauge;
-  inst.gauge = [raw] { return raw->Value(); };
-  inst.owned = owned;
-  Insert(path, std::move(inst));
-  return raw;
-}
-
-SummaryMetric* MetricRegistry::AddSummary(const std::string& path) {
-  auto owned = std::make_shared<SummaryMetric>();
-  SummaryMetric* raw = owned.get();
-  Instrument inst;
-  inst.kind = Instrument::Kind::kSummary;
-  inst.summary = [raw] { return &raw->summary(); };
-  inst.owned = owned;
-  Insert(path, std::move(inst));
-  return raw;
-}
-
 std::string MetricRegistry::AddCounterFn(const std::string& path, CounterFn fn) {
   Instrument inst;
   inst.kind = Instrument::Kind::kCounter;
@@ -179,33 +145,6 @@ std::string MetricRegistry::SnapshotJson() const {
   return out;
 }
 
-std::string MetricRegistry::SnapshotCsv() const {
-  std::string out = "path,kind,value\n";
-  for (const auto& [path, inst] : instruments_) {
-    switch (inst.kind) {
-      case Instrument::Kind::kCounter:
-        out += path + ",counter," + FormatU64(inst.counter()) + "\n";
-        break;
-      case Instrument::Kind::kGauge:
-        out += path + ",gauge," + FormatDouble(inst.gauge()) + "\n";
-        break;
-      case Instrument::Kind::kSummary: {
-        const Summary* s = inst.summary();
-        out += path + ".count,summary," + FormatU64(s->Count()) + "\n";
-        if (!s->Empty()) {
-          out += path + ".mean,summary," + FormatDouble(s->Mean()) + "\n";
-          out += path + ".min,summary," + FormatDouble(s->Min()) + "\n";
-          out += path + ".max,summary," + FormatDouble(s->Max()) + "\n";
-          out += path + ".p50,summary," + FormatDouble(s->Percentile(50.0)) + "\n";
-          out += path + ".p99,summary," + FormatDouble(s->Percentile(99.0)) + "\n";
-        }
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 MetricGroup::MetricGroup(MetricRegistry* registry, const std::string& prefix)
     : registry_(registry) {
   if (registry_ != nullptr) {
@@ -219,45 +158,10 @@ MetricGroup& MetricGroup::operator=(MetricGroup&& other) noexcept {
     registry_ = other.registry_;
     prefix_ = std::move(other.prefix_);
     registered_ = std::move(other.registered_);
-    detached_ = std::move(other.detached_);
     other.registry_ = nullptr;
     other.registered_.clear();
-    other.detached_.clear();
   }
   return *this;
-}
-
-Counter* MetricGroup::AddCounter(const std::string& name) {
-  if (registry_ == nullptr) {
-    auto owned = std::make_shared<Counter>();
-    detached_.push_back(owned);
-    return owned.get();
-  }
-  Counter* c = registry_->AddCounter(Full(name));
-  registered_.push_back(Full(name));
-  return c;
-}
-
-Gauge* MetricGroup::AddGauge(const std::string& name) {
-  if (registry_ == nullptr) {
-    auto owned = std::make_shared<Gauge>();
-    detached_.push_back(owned);
-    return owned.get();
-  }
-  Gauge* g = registry_->AddGauge(Full(name));
-  registered_.push_back(Full(name));
-  return g;
-}
-
-SummaryMetric* MetricGroup::AddSummary(const std::string& name) {
-  if (registry_ == nullptr) {
-    auto owned = std::make_shared<SummaryMetric>();
-    detached_.push_back(owned);
-    return owned.get();
-  }
-  SummaryMetric* s = registry_->AddSummary(Full(name));
-  registered_.push_back(Full(name));
-  return s;
 }
 
 void MetricGroup::AddCounterFn(const std::string& name, MetricRegistry::CounterFn fn) {
@@ -285,7 +189,6 @@ void MetricGroup::RemoveAll() {
     }
   }
   registered_.clear();
-  detached_.clear();
 }
 
 void TraceRecorder::OnSchedule(Tick now, Tick fire_at, std::uint64_t event_id) {

@@ -3,16 +3,13 @@
 // Every simulated component registers its counters and latency summaries
 // under a hierarchical path (e.g. "fabric/switch/s0/flits_forwarded",
 // "core/etrans/agent/a3/job_latency_us") at construction time. The registry
-// can then render one machine-readable snapshot of the whole simulation —
-// JSON for the BENCH_*.json perf trajectory, CSV for spreadsheets — instead
-// of each layer hand-rolling its own text dump.
+// can then render one machine-readable JSON snapshot of the whole
+// simulation for the BENCH_*.json perf trajectory, instead of each layer
+// hand-rolling its own text dump.
 //
-// Two registration styles coexist:
-//   * owned instruments (Counter / Gauge / SummaryMetric) allocated by the
-//     registry, for new code that has no legacy stats struct;
-//   * live-value callbacks (Add*Fn) that read an existing `*Stats` field at
-//     snapshot time, which lets the 20+ legacy stats structs keep their
-//     exact accessor semantics while becoming registry-visible.
+// Every instrument is a live-value callback (Add*Fn) that reads a field of
+// the component's `*Stats` struct at snapshot time, so the struct stays the
+// one place a value is counted.
 //
 // Instruments registered through a MetricGroup are unregistered when the
 // group (i.e. the owning component) is destroyed, so callbacks never
@@ -29,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,37 +34,6 @@
 #include "src/sim/time.h"
 
 namespace unifab {
-
-// A monotonically increasing event count.
-class Counter {
- public:
-  void Increment(std::uint64_t by = 1) { value_ += by; }
-  std::uint64_t Value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-// A point-in-time scalar (occupancy, temperature, bandwidth share).
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  void Add(double delta) { value_ += delta; }
-  double Value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-// A sample distribution; snapshots export count/sum/mean/min/max/p50/p99.
-class SummaryMetric {
- public:
-  void Observe(double v) { summary_.Add(v); }
-  const Summary& summary() const { return summary_; }
-
- private:
-  Summary summary_;
-};
 
 class MetricRegistry {
  public:
@@ -80,13 +45,9 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  // Owned instruments. The registry keeps the instrument alive until it is
-  // removed; the returned pointer stays valid exactly that long.
-  Counter* AddCounter(const std::string& path);
-  Gauge* AddGauge(const std::string& path);
-  SummaryMetric* AddSummary(const std::string& path);
-
-  // Live-value instruments: `fn` is invoked at snapshot time. The caller
+  // Counters (monotonic counts), gauges (point-in-time scalars) and
+  // summaries (sample distributions): `fn` is invoked at snapshot time. The
+  // caller
   // must Remove() the path (MetricGroup does this automatically) before the
   // state the callback reads is destroyed. Returns the final path, which
   // may carry a "#n" suffix when the requested one was taken.
@@ -108,17 +69,12 @@ class MetricRegistry {
   // Key set and formatting are deterministic for a deterministic sim.
   std::string SnapshotJson() const;
 
-  // "path,kind,value" lines; summaries expand to path.count / path.mean / ...
-  std::string SnapshotCsv() const;
-
  private:
   struct Instrument {
     enum class Kind { kCounter, kGauge, kSummary } kind;
     CounterFn counter;
     GaugeFn gauge;
     SummaryFn summary;
-    // Backing storage for owned instruments (null for callback-backed).
-    std::shared_ptr<void> owned;
   };
 
   std::string Insert(const std::string& path, Instrument instrument);
@@ -148,9 +104,6 @@ class MetricGroup {
   // The claimed (uniquified) prefix; empty when detached.
   const std::string& prefix() const { return prefix_; }
 
-  Counter* AddCounter(const std::string& name);
-  Gauge* AddGauge(const std::string& name);
-  SummaryMetric* AddSummary(const std::string& name);
   void AddCounterFn(const std::string& name, MetricRegistry::CounterFn fn);
   void AddGaugeFn(const std::string& name, MetricRegistry::GaugeFn fn);
   void AddSummaryFn(const std::string& name, MetricRegistry::SummaryFn fn);
@@ -163,9 +116,6 @@ class MetricGroup {
   MetricRegistry* registry_ = nullptr;
   std::string prefix_;
   std::vector<std::string> registered_;
-  // Keeps owned instruments alive for detached groups, so callers can
-  // increment them unconditionally.
-  std::vector<std::shared_ptr<void>> detached_;
 };
 
 // Observer of engine scheduling activity (per-event sim-time tracing). The

@@ -1,11 +1,18 @@
 #include "src/sim/scenario.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "src/sim/time.h"
 
 namespace unifab {
 namespace {
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 // "key=value" -> raw value string; false when the token doesn't match `key`.
 bool KeyValue(const std::string& token, const char* key, std::string* out) {
@@ -17,17 +24,23 @@ bool KeyValue(const std::string& token, const char* key, std::string* out) {
   return true;
 }
 
+// Whole-token finite number: "5x", "inf" and "nan" are rejected.
 bool ToDouble(const std::string& s, double* out) {
   try {
     std::size_t used = 0;
     *out = std::stod(s, &used);
-    return used == s.size();
+    return used == s.size() && std::isfinite(*out);
   } catch (...) {
     return false;
   }
 }
 
+// Whole-token unsigned integer. A sign is rejected up front: stoull would
+// wrap "-1" to 2^64-1.
 bool ToU64(const std::string& s, std::uint64_t* out) {
+  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0) {
+    return false;
+  }
   try {
     std::size_t used = 0;
     *out = std::stoull(s, &used);
@@ -167,7 +180,8 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
       continue;
     }
     if (verb == "horizon_us" && tokens.size() == 2) {
-      if (!ToDouble(tokens[1], &spec.horizon_us) || spec.horizon_us <= 0.0) {
+      if (!ToDouble(tokens[1], &spec.horizon_us) || spec.horizon_us <= 0.0 ||
+          spec.horizon_us > kMaxParsedUs) {
         fail("bad horizon_us '" + tokens[1] + "'");
       }
       continue;
@@ -196,10 +210,10 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
         } else if (KeyValue(t, "arrival", &v)) {
           ok = ParseArrival(v, &cls.arrival) && ok;
         } else if (KeyValue(t, "tenants", &v)) {
-          ok = ToU64(v, &u) && u >= 1 && ok;
+          ok = ToU64(v, &u) && u >= 1 && u <= kMaxU32 && ok;
           cls.tenants = static_cast<std::uint32_t>(u);
         } else if (KeyValue(t, "burst", &v)) {
-          ok = ToU64(v, &u) && u >= 1 && ok;
+          ok = ToU64(v, &u) && u >= 1 && u <= kMaxU32 && ok;
           cls.burst = static_cast<std::uint32_t>(u);
         } else if (KeyValue(t, "bytes", &v)) {
           ok = ToU64(v, &cls.bytes) && cls.bytes >= 1 && ok;
@@ -234,6 +248,13 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
   }
   if (spec.classes.empty()) {
     spec.errors.push_back("scenario has no classes");
+  }
+  std::uint64_t total_tenants = 0;
+  for (const auto& c : spec.classes) {
+    total_tenants += c.tenants;
+  }
+  if (total_tenants > kMaxU32) {
+    spec.errors.push_back("scenario has more than 2^32-1 tenants in total");
   }
   return spec;
 }

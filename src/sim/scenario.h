@@ -16,6 +16,9 @@
 //
 // Parsing never throws: diagnostics are collected in `errors` so campaign
 // files can be validated up front (same discipline as FaultPlan::Parse).
+// Numbers must be finite and fill their whole token; integers are unsigned,
+// tenant and burst counts fit 32 bits (so does the total tenant count), and
+// horizon_us lies in (0, kMaxParsedUs].
 
 #ifndef SRC_SIM_SCENARIO_H_
 #define SRC_SIM_SCENARIO_H_

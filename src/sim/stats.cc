@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace unifab {
 
@@ -91,55 +90,6 @@ void Summary::Clear() {
   sum_ = 0.0;
   sorted_ = true;
   non_finite_ = 0;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets) : lo_(lo), hi_(hi) {
-  assert(buckets >= 1);
-  assert(hi > lo);
-  counts_.resize(buckets, 0);
-}
-
-void Histogram::Add(double v) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  double offset = (v - lo_) / width;
-  std::size_t idx = 0;
-  if (offset > 0.0) {
-    idx = static_cast<std::size_t>(offset);
-    if (idx >= counts_.size()) {
-      idx = counts_.size() - 1;
-    }
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-std::string Histogram::ToString() const {
-  if (total_ == 0) {
-    return "(no samples)\n";
-  }
-  std::ostringstream out;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  std::uint64_t max_count = 0;
-  for (auto c : counts_) {
-    max_count = std::max(max_count, c);
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double b_lo = lo_ + width * static_cast<double>(i);
-    const int bar = max_count == 0 ? 0
-                                   : static_cast<int>(50.0 * static_cast<double>(counts_[i]) /
-                                                      static_cast<double>(max_count));
-    // The edge buckets also absorb out-of-range samples; label them so the
-    // rendered ranges are honest.
-    if (i == 0) {
-      out << "[<" << (b_lo + width) << ")";
-    } else if (i + 1 == counts_.size()) {
-      out << "[" << b_lo << "+)";
-    } else {
-      out << "[" << b_lo << ", " << (b_lo + width) << ")";
-    }
-    out << " " << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 double JainFairnessIndex(const std::vector<double>& allocations) {

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace unifab {
@@ -50,28 +49,6 @@ class Summary {
   mutable bool sorted_ = true;
   double sum_ = 0.0;
   std::uint64_t non_finite_ = 0;
-};
-
-// Fixed-width histogram for quick distribution dumps in bench output.
-class Histogram {
- public:
-  // Buckets cover [lo, hi) evenly; out-of-range samples land in the edge
-  // buckets. `buckets` must be >= 1.
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double v);
-  std::uint64_t BucketCount(std::size_t i) const { return counts_[i]; }
-  std::size_t NumBuckets() const { return counts_.size(); }
-  std::uint64_t TotalCount() const { return total_; }
-
-  // Renders an ASCII bar chart, one line per bucket.
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 // Jain's fairness index over per-flow throughput: 1.0 = perfectly fair,

@@ -29,6 +29,11 @@ constexpr Tick FromNs(double ns) { return static_cast<Tick>(ns * 1e3 + 0.5); }
 constexpr Tick FromUs(double us) { return static_cast<Tick>(us * 1e6 + 0.5); }
 constexpr Tick FromMs(double ms) { return static_cast<Tick>(ms * 1e9 + 0.5); }
 
+// Largest time, in microseconds, that a parsed plan or spec may name
+// (about 11.6 simulated days): FromUs of any value in [0, kMaxParsedUs]
+// fits a Tick with room to spare.
+inline constexpr double kMaxParsedUs = 1e12;
+
 // Converts ticks back to floating-point time units for reporting.
 constexpr double ToNs(Tick t) { return static_cast<double>(t) / 1e3; }
 constexpr double ToUs(Tick t) { return static_cast<double>(t) / 1e6; }

@@ -58,9 +58,7 @@ void Cluster::BuildFlat() {
   // they must share the runtime's shard). Cross-domain traffic only flows
   // through links, whose latency bounds the lookahead window.
   for (int i = 0; i < config.num_switches; ++i) {
-    if (config.shard_by_domain) {
-      fabric_->SetComponentEngine(&sharded_.AddShard("sw" + std::to_string(i)));
-    }
+    fabric_->SetComponentEngine(&sharded_.AddShard("sw" + std::to_string(i)));
     switches_.push_back(fabric_->AddSwitch(config.sw, "fs" + std::to_string(i)));
     if (i > 0) {
       fabric_->Connect(switches_[static_cast<std::size_t>(i - 1)],
@@ -80,11 +78,8 @@ void Cluster::BuildFlat() {
     fabric_->Connect(switch_for(attach++), hosts_.back()->fha(), config.link);
   }
   for (int i = 0; i < config.num_fams; ++i) {
-    Engine* fam_engine = &engine();
-    if (config.shard_by_domain) {
-      fam_engine = &sharded_.AddShard("fam" + std::to_string(i));
-      fabric_->SetComponentEngine(fam_engine);
-    }
+    Engine* fam_engine = &sharded_.AddShard("fam" + std::to_string(i));
+    fabric_->SetComponentEngine(fam_engine);
     fams_.push_back(std::make_unique<FamChassis>(fam_engine, fabric_.get(), config.fam,
                                                  "fam" + std::to_string(i)));
     fabric_->SetComponentEngine(nullptr);
@@ -108,7 +103,7 @@ void Cluster::BuildPods() {
   }
   const PodConfig& pc = config.pod;
 
-  // Pod p is PBR domain p and (when sharding) engine shard "pod<p>",
+  // Pod p is PBR domain p and engine shard "pod<p>",
   // holding the pod's switches and FAM chassis. Hosts and FAA chassis stay
   // on the root shard — the same split BuildFlat uses, so the runtime
   // objects built on top keep working. Everything that leaves a pod rides
@@ -116,16 +111,13 @@ void Cluster::BuildPods() {
   for (int p = 0; p < num_pods; ++p) {
     const auto domain = static_cast<std::uint16_t>(p);
     const std::string prefix = std::string("p").append(std::to_string(p)).append("/");
-    Engine* pod_engine = &engine();
-    if (config.shard_by_domain) {
-      pod_engine = &sharded_.AddShard("pod" + std::to_string(p));
-    }
+    Engine* pod_engine = &sharded_.AddShard("pod" + std::to_string(p));
 
     Pod pod;
     pod.index = p;
     std::vector<FabricSwitch*> pod_switches;
     for (int s = 0; s < pc.num_switches; ++s) {
-      fabric_->SetComponentEngine(config.shard_by_domain ? pod_engine : nullptr);
+      fabric_->SetComponentEngine(pod_engine);
       FabricSwitch* sw = fabric_->AddSwitch(config.sw, prefix + "fs" + std::to_string(s), domain);
       fabric_->SetComponentEngine(nullptr);
       if (s > 0) {
@@ -148,10 +140,9 @@ void Cluster::BuildPods() {
       fabric_->Connect(switch_for(attach++), hosts_.back()->fha(), config.link);
     }
     for (int f = 0; f < pc.num_fams; ++f) {
-      Engine* fam_engine = config.shard_by_domain ? pod_engine : &engine();
-      fabric_->SetComponentEngine(config.shard_by_domain ? pod_engine : nullptr);
+      fabric_->SetComponentEngine(pod_engine);
       pod.fams.push_back(static_cast<int>(fams_.size()));
-      fams_.push_back(std::make_unique<FamChassis>(fam_engine, fabric_.get(), config.fam,
+      fams_.push_back(std::make_unique<FamChassis>(pod_engine, fabric_.get(), config.fam,
                                                    prefix + "fam" + std::to_string(f), domain));
       fabric_->SetComponentEngine(nullptr);
       fabric_->Connect(switch_for(attach++), fams_.back()->fea(), config.link);

@@ -44,9 +44,7 @@ struct ClusterConfig {
   // FAM chassis gets its own engine shard; hosts, FAA chassis, and shared
   // runtime objects stay on the root shard. The partition is part of the
   // topology — it never depends on the worker-thread count, so RunDigests
-  // are bit-for-bit identical for any `shard_workers`. When false the whole
-  // cluster runs on the root shard (the pre-sharding behavior).
-  bool shard_by_domain = true;
+  // are bit-for-bit identical for any `shard_workers`.
 
   // Worker threads executing shard windows; 0 = the UNIFAB_SHARDS
   // environment variable (default 1).

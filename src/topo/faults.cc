@@ -1,9 +1,21 @@
 #include "src/topo/faults.h"
 
+#include <cmath>
 #include <sstream>
 
 namespace unifab {
 namespace {
+
+// Whole-token finite number: "5x", "inf" and "nan" are rejected.
+bool ParseNumber(const std::string& s, double* out) {
+  try {
+    std::size_t used = 0;
+    *out = std::stod(s, &used);
+    return used == s.size() && std::isfinite(*out);
+  } catch (...) {
+    return false;
+  }
+}
 
 // "key=value" -> value as double; false when the token doesn't match `key`.
 bool ParseKeyValue(const std::string& token, const std::string& key, double* out) {
@@ -11,13 +23,13 @@ bool ParseKeyValue(const std::string& token, const std::string& key, double* out
   if (token.rfind(prefix, 0) != 0) {
     return false;
   }
-  try {
-    *out = std::stod(token.substr(prefix.size()));
-  } catch (...) {
-    return false;
-  }
-  return true;
+  return ParseNumber(token.substr(prefix.size()), out);
 }
+
+bool IsPlanTime(double us) { return us >= 0.0 && us <= kMaxParsedUs; }
+
+// Most fail/recover pairs one flap directive may expand into.
+constexpr double kMaxFlapCycles = 1e6;
 
 }  // namespace
 
@@ -58,9 +70,7 @@ FaultPlan FaultPlan::Parse(const std::string& text) {
     const std::string& verb = tokens[0];
     if ((verb == "fail" || verb == "recover") && tokens.size() == 3 && tokens[2][0] == '@') {
       double at_us = 0.0;
-      try {
-        at_us = std::stod(tokens[2].substr(1));
-      } catch (...) {
+      if (!ParseNumber(tokens[2].substr(1), &at_us) || !IsPlanTime(at_us)) {
         plan.errors.push_back(directive);
         continue;
       }
@@ -79,8 +89,10 @@ FaultPlan FaultPlan::Parse(const std::string& text) {
       if (ParseKeyValue(tokens[2], "start", &start_us) &&
           ParseKeyValue(tokens[3], "period", &period_us) &&
           ParseKeyValue(tokens[4], "down", &down_us) &&
-          ParseKeyValue(tokens[5], "cycles", &cycles) && period_us > 0.0 && down_us > 0.0 &&
-          down_us < period_us && cycles >= 1.0) {
+          ParseKeyValue(tokens[5], "cycles", &cycles) && IsPlanTime(start_us) &&
+          period_us > 0.0 && down_us > 0.0 && down_us < period_us && cycles >= 1.0 &&
+          cycles <= kMaxFlapCycles && cycles == std::floor(cycles) &&
+          IsPlanTime(start_us + (cycles - 1.0) * period_us + down_us)) {
         for (int k = 0; k < static_cast<int>(cycles); ++k) {
           const double t = start_us + static_cast<double>(k) * period_us;
           plan.events.push_back(

@@ -15,7 +15,9 @@
 //   flap <target> start=<us> period=<us> down=<us> cycles=<n>
 //
 // `flap` expands at parse time into `cycles` fail/recover pairs: down at
-// start + k*period, back up `down` microseconds later.
+// start + k*period, back up `down` microseconds later. Every number must be
+// finite and fill its whole token; every resulting time must lie in
+// [0, kMaxParsedUs], and `cycles` must be a whole number in [1, 10^6].
 
 #ifndef SRC_TOPO_FAULTS_H_
 #define SRC_TOPO_FAULTS_H_

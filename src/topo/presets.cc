@@ -2,11 +2,11 @@
 
 namespace unifab {
 
+// The Omega host is a small ARM complex: L1 + L2, no LLC.
 HierarchyConfig OmegaHostHierarchy() {
   HierarchyConfig cfg;
   cfg.l1 = CacheConfig{32 * 1024, 64, 8};
   cfg.l2 = CacheConfig{1 * 1024 * 1024, 64, 16};
-  cfg.has_llc = false;  // the Omega host is a small ARM complex: L1 + L2
   cfg.l1_latency = FromNs(5.4);
   cfg.l2_latency = FromNs(8.2);     // 5.4 + 8.2 = 13.6 ns L2 hit
   cfg.mem_ctrl_latency = FromNs(35.6);

@@ -177,13 +177,11 @@ TEST(ArbiterClientTest, LateGrantIsReleasedNotLeaked) {
 }
 
 TEST(FabricArbiterQosTest, WeightedShareAcrossClasses) {
-  // With preemption off, a guaranteed request against a fully committed
-  // pool still gets its weighted entitlement (cap * 8/9 here), and the
+  // A burstable request (never preempts) against a fully committed pool
+  // still gets its weighted entitlement (cap * 2/3 here), and the
   // best-effort renewal shrinks to its own entitlement so the pool
   // converges back to capacity.
-  ArbiterConfig cfg;
-  cfg.preempt_best_effort = false;
-  ArbiterRig rig(cfg);
+  ArbiterRig rig;
   const PbrId res = rig.client_adapters[1]->id();
   rig.arbiter->RegisterResource(res, 9000.0);
 
@@ -192,25 +190,25 @@ TEST(FabricArbiterQosTest, WeightedShareAcrossClasses) {
   rig.engine.Run();
   ASSERT_DOUBLE_EQ(be, 9000.0);  // sole flow: work-conserving
 
-  double gua = -1.0;
-  rig.clients[0]->Reserve(res, 9000.0, 1, QosClass::kGuaranteed, [&](double g) { gua = g; });
+  double burst = -1.0;
+  rig.clients[0]->Reserve(res, 9000.0, 1, QosClass::kBurstable, [&](double g) { burst = g; });
   rig.engine.Run();
-  // Active classes: guaranteed (w=8) and best-effort (w=1).
-  EXPECT_DOUBLE_EQ(gua, 8000.0);
+  // Active classes: burstable (w=2) and best-effort (w=1).
+  EXPECT_DOUBLE_EQ(burst, 6000.0);
 
   double be_renewed = -1.0;
   rig.clients[1]->Reserve(res, 9000.0, 2, QosClass::kBestEffort,
                           [&](double g) { be_renewed = g; });
   rig.engine.Run();
-  EXPECT_DOUBLE_EQ(be_renewed, 1000.0);
+  EXPECT_DOUBLE_EQ(be_renewed, 3000.0);
   EXPECT_DOUBLE_EQ(rig.arbiter->ReservedOf(res), 9000.0);
-  EXPECT_DOUBLE_EQ(rig.arbiter->TenantReservedOf(res, 1), 8000.0);
-  EXPECT_DOUBLE_EQ(rig.arbiter->TenantReservedOf(res, 2), 1000.0);
+  EXPECT_DOUBLE_EQ(rig.arbiter->TenantReservedOf(res, 1), 6000.0);
+  EXPECT_DOUBLE_EQ(rig.arbiter->TenantReservedOf(res, 2), 3000.0);
   EXPECT_EQ(rig.arbiter->qos_stats().preemptions, 0u);
 }
 
 TEST(FabricArbiterQosTest, GuaranteedPreemptsBestEffortLeases) {
-  ArbiterRig rig;  // preempt_best_effort defaults on
+  ArbiterRig rig;
   const PbrId res = rig.client_adapters[1]->id();
   rig.arbiter->RegisterResource(res, 8000.0);
 

@@ -607,25 +607,5 @@ TEST(CollectAdmissionTest, QueueOverflowRejectsWithAbortedNotARace) {
   EXPECT_TRUE(cluster.engine().audit().Sweep().empty());
 }
 
-TEST(CollectAdmissionTest, ZeroBoundKeepsTheLegacyLaunchImmediatelyPath) {
-  Cluster cluster(CollectCluster(4));
-  RuntimeOptions options;
-  options.collect.max_queued_collectives = 0;
-  UniFabricRuntime runtime(&cluster, options);
-  CollectiveGroup g;
-  for (int i = 0; i < 4; ++i) {
-    g.members.push_back(CollectiveMember{cluster.faa(i)->id(), 1ULL << 20});
-  }
-  CollectiveFuture f1 = runtime.collect()->AllReduce(g, 32 * 1024);
-  CollectiveFuture f2 = runtime.collect()->AllReduce(g, 32 * 1024);
-  EXPECT_EQ(runtime.collect()->stats().collectives_queued, 0u);
-  EXPECT_EQ(runtime.collect()->stats().collectives_rejected, 0u);
-  cluster.engine().Run();
-  ASSERT_TRUE(f1.Ready());
-  ASSERT_TRUE(f2.Ready());
-  EXPECT_TRUE(f1.Value().ok);
-  EXPECT_TRUE(f2.Value().ok);
-}
-
 }  // namespace
 }  // namespace unifab

@@ -231,28 +231,6 @@ TEST(HierarchyTest, PrefetcherDisabledIssuesNone) {
   EXPECT_EQ(rig.hier.stats().prefetches_issued, 0u);
 }
 
-TEST(HierarchyTest, LlcTierServesBetweenL2AndMemory) {
-  HierarchyConfig cfg = OmegaHostHierarchy();
-  cfg.has_llc = true;
-  cfg.llc = CacheConfig{4 * 1024 * 1024, 64, 16};
-  cfg.llc_latency = FromNs(20);
-  HierRig rig(cfg);
-
-  // Working set larger than L2 (1 MiB) but inside the LLC.
-  for (std::uint64_t a = 0; a < (2ULL << 20); a += 64) {
-    rig.hier.Access(a, false, nullptr);
-  }
-  rig.engine.Run();
-  const auto mem_before = rig.hier.stats().local_mem_accesses;
-  // Second pass: mostly LLC hits, no new memory traffic.
-  for (std::uint64_t a = 0; a < (2ULL << 20); a += 64) {
-    rig.hier.Access(a, false, nullptr);
-  }
-  rig.engine.Run();
-  EXPECT_GT(rig.hier.stats().llc_hits, 1000u);
-  EXPECT_LT(rig.hier.stats().local_mem_accesses - mem_before, 100u);
-}
-
 TEST(HierarchyTest, LatencySummaryTracksAllDemandAccesses) {
   HierRig rig;
   // 4 accesses (== MSHR count) to distinct banks/sets run fully parallel.

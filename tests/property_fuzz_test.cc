@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 #include "src/mem/coma.h"
 #include "src/mem/dram.h"
 #include "src/sim/random.h"
+#include "src/sim/scenario.h"
 #include "src/sim/sharded_engine.h"
 #include "src/topo/faults.h"
 #include "src/topo/presets.h"
@@ -648,6 +650,103 @@ TEST_P(ShardCancelFuzzTest, CancelsNeverDoubleFreeAcrossShards) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardCancelFuzzTest,
                          ::testing::Values(3u, 13u, 23u, 33u, 43u));
+
+// ---------------------- Hostile-input parser mutation ---------------------
+//
+// Seeded mutations of a valid scenario spec (examples/two_pod.scenario) and a
+// valid fault plan (bench_fault_recovery's flap_2ms campaign plus a one-shot
+// outage). Neither parser may crash (the suite runs under ASan/UBSan), and
+// everything either one accepts must be finite and in range.
+
+constexpr const char* kValidSpec =
+    "scenario two_pod_mixed\nseed 7\nhorizon_us 2000\npods 2\n"
+    "class name=gold qos=guaranteed tenants=4 arrival=poisson rate_ops_s=4000 bytes=65536 "
+    "request_mbps=4000 mix=etrans:3,heap_read:2,collect:1 slo_p99_us=1200\n"
+    "class name=bronze qos=best_effort tenants=12 arrival=bursty burst=8 rate_ops_s=1500 "
+    "bytes=16384 mix=etrans:2,heap_write:1,faa:1\n";
+constexpr const char* kValidPlan =
+    "# aggressive campaign\nflap fam0 start=1000 period=2000 down=400 cycles=18\n"
+    "recover fam0 @39000; fail fam1 @50.5\nrecover fam1 @60\n";
+
+// Replaces a number with a hostile token, or inserts or deletes bytes.
+std::string Mutate(std::string text, Rng& rng) {
+  static const char* const kHostile[] = {
+      "-1",  "+3", "inf", "-inf", "nan", "1e999", "1e300", "-0", "2.5", "0x1p4", "4294967296",
+      "18446744073709551616", "5x", "", "1e-320", "=", "@", ";", "#", "\n"};
+  for (std::uint64_t edits = 1 + rng.NextBelow(3); edits > 0; --edits) {
+    const std::size_t pos = rng.NextBelow(text.size() + 1);
+    const std::size_t digits = text.find_first_of("0123456789", pos);
+    if (rng.NextBool(0.6) && digits != std::string::npos) {
+      const std::size_t end = text.find_first_not_of("0123456789.", digits);
+      text.replace(digits, end - digits, kHostile[rng.NextBelow(std::size(kHostile))]);
+    } else if (rng.NextBool(0.5)) {
+      text.insert(pos, 1, static_cast<char>(' ' + rng.NextBelow(95)));
+    } else {
+      text.erase(pos, 1 + rng.NextBelow(4));
+    }
+  }
+  return text;
+}
+
+// Comparisons are false for NaN, so each check also rejects NaN.
+void ExpectSpecInRange(const ScenarioSpec& spec) {
+  EXPECT_TRUE(spec.horizon_us > 0.0 && spec.horizon_us <= kMaxParsedUs);
+  EXPECT_LE(spec.pods, 16u);
+  std::uint64_t total = 0;
+  for (const TenantClassSpec& c : spec.classes) {
+    EXPECT_TRUE(c.tenants >= 1 && c.burst >= 1 && c.bytes >= 1);
+    EXPECT_TRUE(std::isfinite(c.rate_ops_per_s) && c.rate_ops_per_s > 0.0);
+    EXPECT_TRUE(std::isfinite(c.request_mbps) && c.request_mbps > 0.0);
+    EXPECT_TRUE(std::isfinite(c.slo_p99_us) && c.slo_p99_us >= 0.0);
+    for (double w : c.mix) {
+      EXPECT_TRUE(std::isfinite(w) && w >= 0.0);
+    }
+    total += c.tenants;
+  }
+  EXPECT_EQ(total, spec.TotalTenants());
+}
+
+TEST(ParserMutationFuzzTest, AcceptedInputIsFiniteAndInRange) {
+  ASSERT_TRUE(ScenarioSpec::Parse(kValidSpec).errors.empty());
+  ASSERT_TRUE(FaultPlan::Parse(kValidPlan).ok());
+  for (std::uint64_t seed : {5u, 15u, 25u, 35u}) {
+    Rng rng(seed);
+    for (int i = 0; i < 400; ++i) {
+      const std::string spec_text = Mutate(kValidSpec, rng);
+      const ScenarioSpec spec = ScenarioSpec::Parse(spec_text);
+      if (spec.errors.empty()) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + spec_text);
+        ExpectSpecInRange(spec);
+      }
+      const std::string plan_text = Mutate(kValidPlan, rng);
+      for (const FaultEvent& ev : FaultPlan::Parse(plan_text).events) {
+        EXPECT_LE(ev.at, FromUs(kMaxParsedUs)) << "seed " << seed << ": " << plan_text;
+      }
+    }
+  }
+}
+
+TEST(ParserHostileInputTest, RejectsEachKnownHostileNumber) {
+  for (const char* plan : {"fail fam0 @5x", "fail fam0 @-5", "recover fam0 @inf",
+                           "fail fam0 @nan", "fail fam0 @1e300",
+                           "flap l start=-10 period=100 down=10 cycles=2",
+                           "flap l start=nan period=100 down=10 cycles=2",
+                           "flap l start=inf period=100 down=10 cycles=2",
+                           "flap l start=0 period=100 down=10 cycles=2.5",
+                           "flap l start=0 period=100 down=10 cycles=1000001",
+                           "flap l start=0 period=1e300 down=10 cycles=3"}) {
+    EXPECT_FALSE(FaultPlan::Parse(plan).ok()) << plan;
+  }
+  const std::string head = "seed 7\nhorizon_us 2000\nclass name=a ";
+  for (const std::string& spec :
+       {head + "tenants=-1", head + "tenants=4294967296", head + "burst=-1",
+        head + "rate_ops_s=inf", head + "request_mbps=inf", head + "mix=etrans:inf",
+        std::string("seed -1\nclass name=a"), std::string("horizon_us inf\nclass name=a"),
+        std::string("horizon_us nan\nclass name=a"),
+        head + "tenants=4294967295\nclass name=b tenants=1"}) {
+    EXPECT_FALSE(ScenarioSpec::Parse(spec).errors.empty()) << spec;
+  }
+}
 
 }  // namespace
 }  // namespace unifab

@@ -95,18 +95,22 @@ TEST(SummaryPercentileTest, OutOfDomainPercentilesAreClampedOrSentinel) {
 
 TEST(MetricRegistryTest, CounterGaugeSummaryRoundTrip) {
   MetricRegistry reg;
-  Counter* c = reg.AddCounter("a/count");
-  Gauge* g = reg.AddGauge("a/gauge");
-  SummaryMetric* s = reg.AddSummary("a/lat");
-  c->Increment(3);
-  g->Set(2.5);
-  s->Observe(1.0);
-  s->Observe(3.0);
+  std::uint64_t count = 3;
+  double gauge = 2.5;
+  Summary lat;
+  lat.Add(1.0);
+  lat.Add(3.0);
+  reg.AddCounterFn("a/count", [&count] { return count; });
+  reg.AddGaugeFn("a/gauge", [&gauge] { return gauge; });
+  reg.AddSummaryFn("a/lat", [&lat] { return &lat; });
 
   const std::string json = reg.SnapshotJson();
   EXPECT_NE(json.find("\"a/count\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"a/gauge\": 2.5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"a/lat\": {\"count\":2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"a/lat\": {\"count\":2,\"sum\":4,\"mean\":2,\"min\":1,\"max\":3,"
+                      "\"p50\":1,\"p99\":3}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(MetricRegistryTest, CallbackInstrumentsReadLiveValues) {
@@ -130,7 +134,7 @@ TEST(MetricRegistryTest, GroupUnregistersOnDestruction) {
   MetricRegistry reg;
   {
     MetricGroup group(&reg, "tmp/thing");
-    group.AddCounter("c");
+    group.AddCounterFn("c", [] { return std::uint64_t{0}; });
     EXPECT_TRUE(reg.Has("tmp/thing/c"));
   }
   EXPECT_FALSE(reg.Has("tmp/thing/c"));
@@ -143,15 +147,6 @@ TEST(MetricRegistryTest, EngineRegistersItsOwnInstruments) {
   engine.Run();
   EXPECT_NE(engine.metrics().SnapshotJson().find("\"sim/engine/events_fired\": 1"),
             std::string::npos);
-}
-
-TEST(MetricRegistryTest, CsvListsSummaryComponents) {
-  MetricRegistry reg;
-  SummaryMetric* s = reg.AddSummary("m/lat");
-  s->Observe(4.0);
-  const std::string csv = reg.SnapshotCsv();
-  EXPECT_NE(csv.find("m/lat.count,summary,1"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("m/lat.p99,summary,4"), std::string::npos) << csv;
 }
 
 // Two identical sim runs must produce byte-identical registry snapshots —

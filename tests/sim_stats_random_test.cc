@@ -59,45 +59,6 @@ TEST(SummaryTest, ClearResets) {
   EXPECT_DOUBLE_EQ(s.Sum(), 0.0);
 }
 
-// ------------------------------ Histogram --------------------------------
-
-TEST(HistogramTest, BucketsSamplesEvenly) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) {
-    h.Add(static_cast<double>(i) + 0.5);
-  }
-  for (std::size_t b = 0; b < 10; ++b) {
-    EXPECT_EQ(h.BucketCount(b), 1u);
-  }
-  EXPECT_EQ(h.TotalCount(), 10u);
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);
-  h.Add(25.0);
-  EXPECT_EQ(h.BucketCount(0), 1u);
-  EXPECT_EQ(h.BucketCount(9), 1u);
-}
-
-TEST(HistogramTest, ToStringRendersBars) {
-  Histogram h(0.0, 3.0, 3);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.6);
-  const std::string out = h.ToString();
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find("[1, 2)"), std::string::npos);
-  // Edge buckets absorb out-of-range samples and say so.
-  EXPECT_NE(out.find("[<1)"), std::string::npos);
-  EXPECT_NE(out.find("[2+)"), std::string::npos);
-}
-
-TEST(HistogramTest, ToStringOnEmptyHistogramIsSafe) {
-  Histogram h(0.0, 2.0, 2);
-  EXPECT_EQ(h.ToString(), "(no samples)\n");
-}
-
 // ---------------------------- Jain fairness ------------------------------
 
 TEST(JainTest, EqualAllocationsArePerfectlyFair) {
