@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
   report.Note("bench_engine_micro_prepr/deep_queue_16384_eps", 5.08e6);
   report.Note("bench_engine_micro_prepr/deep_queue_1024_eps", 8.9e6);
 
-  const double rss = PeakRssMb();
+  const double rss = ReadProcessCost().peak_rss_mb;
   report.Note("peak_rss_mb", rss);
   std::printf("peak RSS: %.1f MiB\n", rss);
 

@@ -1,5 +1,5 @@
 // E-XLAT: switch-resident memory control — adapter translation-cache hit
-// rate vs. migration churn, plus the sharded temperature profiler at scale.
+// rate vs. migration churn, plus the heap's temperature profiling at scale.
 //
 // Scenario "churn": host 0's heap owns a FAM-resident object population;
 // host 1 resolves fabric-virtual addresses against the switch-resident
@@ -10,13 +10,13 @@
 // The bench enforces that monotonicity (exit 1 on violation).
 //
 // Scenario "profiler_scale": one host reads 64 Ki zipf-skewed objects with
-// epoch migration on, all placement resolved through the agent — the
-// sharded profiler's fold path at a size the legacy O(n) snapshot was
-// built to avoid.
+// epoch migration on, all placement resolved through the agent. Every
+// epoch has more cold objects than kMaxEpochCandidates, so the candidate
+// cap binds.
 //
-// Scenario "sparse_shards": 5 live objects spread over 32 profiler shards,
-// so most shards fold empty. The epoch-temperature summary must still hold
-// exactly one sample per live object (empty shards contribute nothing) —
+// Scenario "sparse_shards" (named for the sharded profiler it once
+// exercised): 5 live objects, one of them read, over 3 epochs. The
+// epoch-temperature summary must hold exactly one sample per live object —
 // enforced here because a double-count regression would silently skew the
 // promote/demote thresholds rather than crash.
 
@@ -141,7 +141,6 @@ ProfilerOutcome RunProfilerScale() {
   opts.heap.epoch_length = FromUs(50.0);
   opts.heap.promote_threshold = 0.5;
   opts.heap.demote_threshold = 0.05;
-  opts.heap.profiler.shards = 8;
   opts.switch_mem = true;
   UniFabricRuntime runtime(&cluster, opts);
   UnifiedHeap* heap = runtime.heap(0);
@@ -170,21 +169,20 @@ ProfilerOutcome RunProfilerScale() {
   cluster.engine().RunUntil(FromUs(220.0));  // four 50 us epochs
   *loop = nullptr;  // the loop captures itself; break the cycle
 
-  const ShardedTemperatureProfiler& prof = heap->profiler();
   ProfilerOutcome out;
-  out.folds = prof.folds();
-  out.live_entries = prof.entries();
-  out.summary_count = prof.epoch_temperature().Count();
-  out.summary_mean = prof.epoch_temperature().Mean();
-  out.hot_candidates = prof.hot_candidates();
-  out.cold_candidates = prof.cold_candidates();
+  out.folds = heap->stats().folds;
+  out.live_entries = heap->live_objects();
+  out.summary_count = heap->epoch_temperature().Count();
+  out.summary_mean = heap->epoch_temperature().Mean();
+  out.hot_candidates = heap->stats().hot_candidates;
+  out.cold_candidates = heap->stats().cold_candidates;
   out.promotions = heap->stats().promotions;
   out.commits = runtime.switch_mem_agent()->stats().commits;
   out.reads = lat.Count();
   return out;
 }
 
-// 5 objects over 32 profiler shards: most shards are empty at every fold.
+// 5 objects, one of them read each epoch; the others only decay.
 ProfilerOutcome RunSparseShards() {
   ClusterConfig ccfg;
   ccfg.num_hosts = 1;
@@ -196,7 +194,6 @@ ProfilerOutcome RunSparseShards() {
   opts.heap_local_bytes = 1ULL << 20;
   opts.heap.migration_enabled = false;
   opts.heap.epoch_length = FromUs(10.0);
-  opts.heap.profiler.shards = 32;
   UniFabricRuntime runtime(&cluster, opts);
   UnifiedHeap* heap = runtime.heap(0);
 
@@ -215,12 +212,11 @@ ProfilerOutcome RunSparseShards() {
   }
   cluster.engine().Run();
 
-  const ShardedTemperatureProfiler& prof = heap->profiler();
   ProfilerOutcome out;
-  out.folds = prof.folds();
-  out.live_entries = prof.entries();
-  out.summary_count = prof.epoch_temperature().Count();
-  out.summary_mean = prof.epoch_temperature().Mean();
+  out.folds = heap->stats().folds;
+  out.live_entries = heap->live_objects();
+  out.summary_count = heap->epoch_temperature().Count();
+  out.summary_mean = heap->epoch_temperature().Mean();
   return out;
 }
 
@@ -230,8 +226,8 @@ ProfilerOutcome RunSparseShards() {
 int main() {
   using namespace unifab;
   PrintHeader("E-XLAT", "switch-resident memory control",
-              "adapter translation-cache hit rate vs. migration churn; sharded "
-              "profiler fold at 64Ki objects; empty-shard summary conservation");
+              "adapter translation-cache hit rate vs. migration churn; profiler "
+              "fold at 64Ki objects; one summary sample per live object");
 
   BenchReport report("translation_cache");
 
@@ -295,7 +291,7 @@ int main() {
     return 1;
   }
 
-  std::printf("\n--- sparse shards: 5 objs over 32 shards, 3 epochs ---\n");
+  std::printf("\n--- sparse: 5 objs, 3 epochs ---\n");
   const ProfilerOutcome sparse = RunSparseShards();
   std::printf("folds %llu  entries %llu  summary count %llu mean %.6f\n",
               static_cast<unsigned long long>(sparse.folds),
@@ -306,12 +302,12 @@ int main() {
   report.Note("sparse_shards/summary_count", sparse.summary_count);
   report.Note("sparse_shards/summary_mean", sparse.summary_mean);
   if (sparse.summary_count != sparse.live_entries) {
-    std::fprintf(stderr, "FAIL: empty shards double-counted: %llu samples for %llu entries\n",
+    std::fprintf(stderr, "FAIL: summary double-counted: %llu samples for %llu entries\n",
                  static_cast<unsigned long long>(sparse.summary_count),
                  static_cast<unsigned long long>(sparse.live_entries));
     return 1;
   }
-  std::printf("one summary sample per live entry across empty shards: ok\n");
+  std::printf("one summary sample per live entry: ok\n");
 
   report.WriteJson();
   PrintFooter();

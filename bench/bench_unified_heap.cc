@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/baseline/policies.h"
 #include "src/baseline/rdma.h"
 #include "src/core/runtime.h"
 #include "src/sim/random.h"
@@ -73,9 +72,6 @@ Outcome RunHeapMode(const Regime& regime, bool migration, bool all_local) {
   opts.heap.demote_threshold = 0.05;
   UniFabricRuntime runtime(&cluster, opts);
   UnifiedHeap* heap = runtime.heap(0);
-  if (!migration) {
-    heap->SetPolicy(std::make_unique<StaticPlacementPolicy>());
-  }
 
   std::vector<ObjectId> objects;
   objects.reserve(static_cast<std::size_t>(regime.num_objects));

@@ -9,6 +9,7 @@
 
 #include <sys/resource.h>
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -30,11 +31,29 @@ inline void PrintHeader(const std::string& experiment, const std::string& artifa
 
 inline void PrintFooter() { std::printf("\n"); }
 
-// The process's peak resident set so far, in MiB.
-inline double PeakRssMb() {
+// Taken during static initialisation, before main runs.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
+
+// What the process has cost the host so far.
+struct ProcessCost {
+  double cpu_s = 0.0;        // user + system CPU time
+  double wall_s = 0.0;       // since kProcessStart
+  double peak_rss_mb = 0.0;  // peak resident set, MiB
+};
+
+inline ProcessCost ReadProcessCost() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  ProcessCost cost;
+  cost.cpu_s = seconds(ru.ru_utime) + seconds(ru.ru_stime);
+  cost.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - kProcessStart).count();
+  cost.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
+  return cost;
 }
 
 // Accumulates a bench run's headline numbers plus full MetricRegistry
@@ -70,7 +89,8 @@ class BenchReport {
   // scripts/check.sh before golden diffs, so it may vary run to run while
   // "results" and "metrics" stay bit-exact. Values are flat numbers only —
   // the stripper relies on the section containing no nested braces. Every
-  // report's perf section ends with peak_rss_mb, read when it is rendered.
+  // report's perf section ends with the process's cpu_s, wall_s and
+  // peak_rss_mb, read when it is rendered.
   void Perf(const std::string& key, double value) { perf_.emplace_back(key, Num(value)); }
   void Perf(const std::string& key, std::uint64_t value) {
     char buf[32];
@@ -113,7 +133,10 @@ class BenchReport {
     for (const auto& [key, value] : perf_) {
       out += Quote(key) + ":" + value + ",";
     }
-    out += Quote("peak_rss_mb") + ":" + Num(PeakRssMb()) + "}}\n";
+    const ProcessCost cost = ReadProcessCost();
+    out += Quote("cpu_s") + ":" + Num(cost.cpu_s) + ",";
+    out += Quote("wall_s") + ":" + Num(cost.wall_s) + ",";
+    out += Quote("peak_rss_mb") + ":" + Num(cost.peak_rss_mb) + "}}\n";
     return out;
   }
 

@@ -7,8 +7,31 @@
 #include "src/fabric/switch/mem_agent.h"
 
 namespace unifab {
+namespace {
 
-std::vector<MigrationPolicy::Move> TemperaturePolicy::Decide(
+// A promote or demote candidate of one epoch. The sort key is copied so
+// sorting never dereferences `info`, which points into the object table
+// (nothing inserts into or erases from it during an epoch).
+struct Candidate {
+  double temperature;
+  ObjectId id;
+  const ObjectInfo* info;
+};
+
+// Leaves the first kMaxEpochCandidates of `v` in `before` order, sorted.
+template <typename Before>
+void SortCapped(std::vector<Candidate>& v, Before before) {
+  if (v.size() > kMaxEpochCandidates) {
+    const auto cap = static_cast<std::ptrdiff_t>(kMaxEpochCandidates);
+    std::nth_element(v.begin(), v.begin() + cap, v.end(), before);
+    v.resize(kMaxEpochCandidates);
+  }
+  std::sort(v.begin(), v.end(), before);
+}
+
+}  // namespace
+
+std::vector<TemperaturePolicy::Move> TemperaturePolicy::Decide(
     const std::vector<ObjectInfo>& objects, const std::vector<MemTier>& tiers,
     const std::vector<std::uint64_t>& tier_used, const HeapConfig& config) {
   std::vector<Move> moves;
@@ -86,6 +109,9 @@ void HeapStats::BindTo(MetricGroup& group, const std::string& prefix) const {
   group.AddCounterFn(prefix + "bytes_migrated", [this] { return bytes_migrated; });
   group.AddCounterFn(prefix + "migrations_failed", [this] { return migrations_failed; });
   group.AddCounterFn(prefix + "epochs", [this] { return epochs; });
+  group.AddCounterFn(prefix + "profiler/folds", [this] { return folds; });
+  group.AddCounterFn(prefix + "profiler/hot_candidates", [this] { return hot_candidates; });
+  group.AddCounterFn(prefix + "profiler/cold_candidates", [this] { return cold_candidates; });
 }
 
 UnifiedHeap::UnifiedHeap(Engine* engine, const HeapConfig& config, MemoryHierarchy* core,
@@ -94,13 +120,12 @@ UnifiedHeap::UnifiedHeap(Engine* engine, const HeapConfig& config, MemoryHierarc
       config_(config),
       core_(core),
       agent_(agent),
-      etrans_(etrans),
-      policy_(std::make_unique<TemperaturePolicy>()),
-      profiler_(config.profiler, config.ewma_alpha) {
+      etrans_(etrans) {
   next_epoch_at_ = engine_->Now() + config_.epoch_length;
   metrics_ = MetricGroup(&engine_->metrics(), "core/heap");
   stats_.BindTo(metrics_);
-  profiler_.BindMetrics(metrics_, "profiler/");
+  metrics_.AddGaugeFn("profiler/entries", [this] { return static_cast<double>(objects_.size()); });
+  metrics_.AddSummaryFn("profiler/epoch_temperature", [this] { return &epoch_temperature_; });
   audit_ = AuditScope(&engine_->audit(), "core/heap");
   // Per-tier byte conservation: live objects placed in a tier plus the
   // still-carved source blocks of in-flight migrations account for every
@@ -275,7 +300,6 @@ ObjectId UnifiedHeap::Allocate(std::uint32_t size, int tier_hint) {
     }
     objects_.emplace(id, std::move(obj));
     tier_used_[static_cast<std::size_t>(tier)] += sc;
-    profiler_.OnAllocate(id);
     ++stats_.allocations;
     return id;
   }
@@ -301,13 +325,12 @@ void UnifiedHeap::Free(ObjectId id) {
   }
   ReleaseBlock(info.tier, sc, info.addr);
   tier_used_[static_cast<std::size_t>(info.tier)] -= sc;
-  profiler_.OnFree(id);
   ++stats_.frees;
   objects_.erase(it);
 }
 
 void UnifiedHeap::Touch(Object& obj) {
-  profiler_.OnAccess(obj.info.id);
+  ++obj.info.epoch_accesses;
   MaybeRunEpoch();
 }
 
@@ -613,31 +636,66 @@ void UnifiedHeap::RunEpoch() {
     next_epoch_at_ = now + config_.epoch_length;
   }
   stats_.epochs += elapsed;
+  ++stats_.folds;
 
-  // Profile: the sharded profiler folds this epoch's access counts into the
-  // per-object EWMA temperatures and hands back only the bounded,
-  // deterministically ordered promote/demote candidate list — the policy
-  // no longer sees (or pays for) a full snapshot of millions of objects.
-  const auto candidates =
-      profiler_.FoldEpoch(elapsed, config_.promote_threshold, config_.demote_threshold);
-
-  if (!config_.migration_enabled || policy_ == nullptr) {
+  // Profile: every object decays through the elapsed-1 idle epochs, then
+  // folds its open-epoch access count (the activity that triggered the
+  // catch-up lands in the newest epoch). Never-touched objects decay like
+  // any other, so an idle object cannot stay warm forever. An object can
+  // qualify both ways when the thresholds overlap (promote_threshold <
+  // demote_threshold); the policy re-filters.
+  const double alpha = config_.ewma_alpha;
+  const double idle_decay = std::pow(1.0 - alpha, static_cast<double>(elapsed - 1));
+  epoch_temperature_.Clear();
+  std::vector<Candidate> hot;
+  std::vector<Candidate> cold;
+  for (auto& [id, obj] : objects_) {
+    ObjectInfo& info = obj.info;
+    if (elapsed > 1) {
+      info.temperature *= idle_decay;
+    }
+    info.temperature =
+        alpha * static_cast<double>(info.epoch_accesses) + (1.0 - alpha) * info.temperature;
+    info.epoch_accesses = 0;
+    epoch_temperature_.Add(info.temperature);
+    if (info.temperature >= config_.promote_threshold) {
+      hot.push_back(Candidate{info.temperature, id, &info});
+    }
+    if (info.temperature <= config_.demote_threshold) {
+      cold.push_back(Candidate{info.temperature, id, &info});
+    }
+  }
+  stats_.hot_candidates += std::min(hot.size(), kMaxEpochCandidates);
+  stats_.cold_candidates += std::min(cold.size(), kMaxEpochCandidates);
+  if (!config_.migration_enabled) {
     return;
   }
+
+  // Keep the hottest and the coldest kMaxEpochCandidates, each sorted once
+  // by (temperature, id), so the policy's input never depends on the
+  // object table's iteration order.
+  const auto hotter = [](const Candidate& a, const Candidate& b) {
+    return a.temperature != b.temperature ? a.temperature > b.temperature : a.id < b.id;
+  };
+  const auto colder = [](const Candidate& a, const Candidate& b) {
+    return a.temperature != b.temperature ? a.temperature < b.temperature : a.id < b.id;
+  };
+  SortCapped(hot, hotter);
+  SortCapped(cold, colder);
+
+  // Hot first, then cold. A cold candidate is also a kept hot one exactly
+  // when it qualifies as hot and does not rank after the last kept hot one.
   std::vector<ObjectInfo> snapshot;
-  snapshot.reserve(candidates.size());
-  for (const auto& c : candidates) {
-    auto it = objects_.find(c.id);
-    if (it == objects_.end()) {
-      continue;  // profiler entries are erased on Free; defensive only
-    }
-    ObjectInfo info = it->second.info;
-    info.temperature = c.temperature;
-    info.epoch_accesses = 0;
-    snapshot.push_back(info);
+  snapshot.reserve(hot.size() + cold.size());
+  for (const Candidate& c : hot) {
+    snapshot.push_back(*c.info);
   }
-  const auto moves = policy_->Decide(snapshot, tiers_, tier_used_, config_);
-  for (const auto& move : moves) {
+  for (const Candidate& c : cold) {
+    if (c.temperature < config_.promote_threshold || hotter(hot.back(), c)) {
+      snapshot.push_back(*c.info);
+    }
+  }
+  for (const auto& move : TemperaturePolicy::Decide(snapshot, tiers_, tier_used_, config_)) {
     Migrate(move.object, move.dst_tier, nullptr);
   }
 }
@@ -647,10 +705,7 @@ ObjectInfo UnifiedHeap::Info(ObjectId id) const {
   if (it == objects_.end()) {
     return ObjectInfo{};
   }
-  ObjectInfo info = it->second.info;
-  info.temperature = profiler_.TemperatureOf(id);
-  info.epoch_accesses = profiler_.PendingAccesses(id);
-  return info;
+  return it->second.info;
 }
 
 int UnifiedHeap::TierOf(ObjectId id) const {

@@ -21,13 +21,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/etrans.h"
-#include "src/core/heap_profiler.h"
 #include "src/mem/hierarchy.h"
 #include "src/mem/memnode.h"
 #include "src/sim/audit.h"
@@ -61,8 +59,12 @@ struct HeapConfig {
   double high_watermark = 0.9;        // tier occupancy that triggers demotion
   std::uint64_t migration_budget_bytes = 1 << 20;  // per epoch
   bool migration_enabled = true;
-  ProfilerConfig profiler;  // sharded temperature profiling (heap_profiler.h)
 };
+
+// Per epoch and per direction (hot/cold), at most this many candidates
+// reach the migration policy: the hottest and the coldest by (temperature,
+// id). Heaps of up to this many objects behave as if uncapped.
+inline constexpr std::size_t kMaxEpochCandidates = 32768;
 
 struct ObjectInfo {
   ObjectId id = kInvalidObject;
@@ -73,8 +75,8 @@ struct ObjectInfo {
   std::uint64_t vaddr = 0;
   std::uint32_t size = 0;
   int tier = -1;
-  double temperature = 0.0;
-  std::uint64_t epoch_accesses = 0;
+  double temperature = 0.0;          // EWMA of per-epoch access counts
+  std::uint64_t epoch_accesses = 0;  // accesses in the open epoch
   bool migrating = false;
 };
 
@@ -99,32 +101,27 @@ struct HeapStats {
   std::uint64_t bytes_migrated = 0;
   std::uint64_t migrations_failed = 0;  // eTrans aborted; object rolled back to src
   std::uint64_t epochs = 0;
+  // Temperature profiling, registered under "profiler/".
+  std::uint64_t folds = 0;            // RunEpoch passes
+  std::uint64_t hot_candidates = 0;   // cumulative, across folds
+  std::uint64_t cold_candidates = 0;  // cumulative, across folds
 
   void BindTo(MetricGroup& group, const std::string& prefix = "") const;
 };
 
-// Pluggable epoch policy: returns objects to move this epoch.
-class MigrationPolicy {
+// The epoch policy: temperature-driven promote/demote along tier ranks.
+// Returns the objects to move this epoch.
+class TemperaturePolicy {
  public:
   struct Move {
     ObjectId object;
     int dst_tier;
   };
 
-  virtual ~MigrationPolicy() = default;
-  virtual std::vector<Move> Decide(const std::vector<ObjectInfo>& objects,
-                                   const std::vector<MemTier>& tiers,
-                                   const std::vector<std::uint64_t>& tier_used,
-                                   const HeapConfig& config) = 0;
-};
-
-// Default: temperature-driven promote/demote along tier ranks.
-class TemperaturePolicy : public MigrationPolicy {
- public:
-  std::vector<Move> Decide(const std::vector<ObjectInfo>& objects,
-                           const std::vector<MemTier>& tiers,
-                           const std::vector<std::uint64_t>& tier_used,
-                           const HeapConfig& config) override;
+  static std::vector<Move> Decide(const std::vector<ObjectInfo>& objects,
+                                  const std::vector<MemTier>& tiers,
+                                  const std::vector<std::uint64_t>& tier_used,
+                                  const HeapConfig& config);
 };
 
 class UnifiedHeap {
@@ -164,10 +161,11 @@ class UnifiedHeap {
   void AttachSwitchMem(SwitchMemClient* client, std::uint64_t va_base);
 
   // Runs one profiling/migration epoch now. Normally invoked lazily when
-  // epoch_length has elapsed, checked on each access.
+  // epoch_length has elapsed, checked on each access. Folds every object's
+  // open-epoch access count into its temperature, then (when migration is
+  // enabled) hands the policy the hot candidates, hottest first, followed
+  // by the cold ones, coldest first; ties break on id.
   void RunEpoch();
-
-  void SetPolicy(std::unique_ptr<MigrationPolicy> policy) { policy_ = std::move(policy); }
 
   ObjectInfo Info(ObjectId id) const;
   int TierOf(ObjectId id) const;
@@ -176,7 +174,8 @@ class UnifiedHeap {
   int num_tiers() const { return static_cast<int>(tiers_.size()); }
   const HeapStats& stats() const { return stats_; }
   std::size_t live_objects() const { return objects_.size(); }
-  const ShardedTemperatureProfiler& profiler() const { return profiler_; }
+  // One sample per live object, rebuilt at the latest epoch.
+  const Summary& epoch_temperature() const { return epoch_temperature_; }
   SwitchMemClient* switch_mem() const { return switch_mem_; }
 
  private:
@@ -230,8 +229,7 @@ class UnifiedHeap {
   std::uint64_t migrations_in_flight_ = 0;
   std::unordered_map<ObjectId, InFlightMigration> inflight_;
   std::unordered_map<ObjectId, Object> objects_;
-  std::unique_ptr<MigrationPolicy> policy_;
-  ShardedTemperatureProfiler profiler_;
+  Summary epoch_temperature_;
   SwitchMemClient* switch_mem_ = nullptr;
   std::uint64_t va_base_ = 0;
   std::uint64_t va_bump_ = 0;  // monotonic; vaddrs are never reused

@@ -96,9 +96,9 @@ void TenantEngine::Start() {
     // Uniform phase within one mean inter-arrival keeps 100k deterministic
     // tenants from all firing on the same tick.
     const double mean_gap_us = 1e6 / spec_.classes[t.cls].rate_ops_per_s;
-    const Tick first = FromUs(t.rng.NextDouble() * mean_gap_us);
-    if (first <= horizon) {
-      engine.Schedule(first, [this, idx] { Arrive(idx); });
+    const double first_us = t.rng.NextDouble() * mean_gap_us;
+    if (first_us <= kMaxParsedUs && FromUs(first_us) <= horizon) {
+      engine.Schedule(FromUs(first_us), [this, idx] { Arrive(idx); });
     }
   }
 }
@@ -108,26 +108,33 @@ void TenantEngine::ScheduleNext(std::size_t idx) {
   Tenant& t = tenants_[idx];
   const TenantClassSpec& cls = spec_.classes[t.cls];
   const double mean_gap_us = 1e6 / cls.rate_ops_per_s;
-  Tick gap = 0;
+  double gap_us = 0.0;
   switch (cls.arrival) {
     case ArrivalKind::kPoisson:
-      gap = FromUs(t.rng.NextExponential(mean_gap_us));
+      gap_us = t.rng.NextExponential(mean_gap_us);
       break;
     case ArrivalKind::kDeterministic:
-      gap = FromUs(mean_gap_us);
+      gap_us = mean_gap_us;
       break;
     case ArrivalKind::kBursty:
-      // `burst` near-back-to-back ops, then an idle period sized so the
-      // mean rate still matches the class rate.
+      // `burst` near-back-to-back ops (100 ns apart), then an idle period
+      // sized so the mean rate still matches the class rate.
       if (t.burst_left > 0) {
         --t.burst_left;
-        gap = FromNs(100.0);
+        gap_us = 0.1;
       } else {
         t.burst_left = cls.burst - 1;
-        gap = FromUs(t.rng.NextExponential(mean_gap_us * static_cast<double>(cls.burst)));
+        gap_us = t.rng.NextExponential(mean_gap_us * static_cast<double>(cls.burst));
       }
       break;
   }
+  // A gap beyond kMaxParsedUs cannot land inside any parsed horizon, and
+  // converting it to a Tick is out of range: it can come out as 0, and the
+  // tenant would re-arrive on the same tick forever.
+  if (!(gap_us <= kMaxParsedUs)) {
+    return;
+  }
+  const Tick gap = FromUs(gap_us);
   if (engine.Now() + gap <= FromUs(spec_.horizon_us)) {
     engine.Schedule(gap, [this, idx] { Arrive(idx); });
   }

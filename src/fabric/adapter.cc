@@ -125,15 +125,12 @@ void AdapterBase::DeliverMessage(const Flit& last_flit, std::shared_ptr<void> bo
 
 HostAdapter::HostAdapter(Engine* engine, const AdapterConfig& config, PbrId id, std::string name)
     : AdapterBase(engine, config, id, std::move(name)) {
+  assert(config_.mshr_timeout > 0 && "every outstanding txn needs a response deadline");
   audit_ = AuditScope(&engine_->audit(), "fabric/adapter/" + name_);
   // No MSHR outlives its deadline epoch: the timeout event reclaims a txn at
   // exactly submitted_at + mshr_timeout, so at any event boundary every
-  // outstanding txn is younger than (or at) its deadline. 0 disables
-  // timeouts and the age bound with them.
+  // outstanding txn is younger than (or at) its deadline.
   audit_.AddCheck("mshr_deadline", [this]() -> std::string {
-    if (config_.mshr_timeout == 0) {
-      return {};
-    }
     const Tick now = engine_->Now();
     for (const auto& [txn_id, txn] : outstanding_) {
       if (txn.submitted_at + config_.mshr_timeout < now) {
@@ -188,9 +185,7 @@ void HostAdapter::OnLinkEpochChange(int port, bool link_up) {
   outstanding_.clear();
   stats_.mshr_failures += failed.size();
   for (auto& [txn_id, txn] : failed) {
-    if (txn.timeout != kInvalidEventId) {
-      engine_->Cancel(txn.timeout);
-    }
+    engine_->Cancel(txn.timeout);
     if (txn.on_complete) {
       txn.on_complete(false);
     }
@@ -208,10 +203,8 @@ void HostAdapter::IssueReady() {
 
 void HostAdapter::IssueNow(PendingRequest pr) {
   const std::uint64_t txn = NextTxnId();
-  EventId timeout = kInvalidEventId;
-  if (config_.mshr_timeout > 0) {
-    timeout = engine_->Schedule(config_.mshr_timeout, [this, txn] { TimeoutTxn(txn); });
-  }
+  const EventId timeout =
+      engine_->Schedule(config_.mshr_timeout, [this, txn] { TimeoutTxn(txn); });
   outstanding_.emplace(
       txn, OutstandingTxn{pr.request, std::move(pr.on_complete), engine_->Now(), timeout});
 
@@ -280,9 +273,7 @@ void HostAdapter::CompleteTxn(std::uint64_t txn_id) {
   OutstandingTxn txn = std::move(it->second);
   outstanding_.erase(it);
 
-  if (txn.timeout != kInvalidEventId) {
-    engine_->Cancel(txn.timeout);
-  }
+  engine_->Cancel(txn.timeout);
   stats_.txn_latency_ns.Add(ToNs(engine_->Now() - txn.submitted_at));
   if (txn.request.type == MemRequest::Type::kRead) {
     ++stats_.reads_completed;

@@ -76,7 +76,7 @@ struct AdapterConfig {
   // A transaction whose response hasn't arrived by then is failed and its
   // MSHR reclaimed — without this, a request black-holed by a failed link
   // elsewhere in the fabric strands an MSHR forever and the (small) pool
-  // wedges the adapter permanently. 0 disables. Far above any legitimate
+  // wedges the adapter permanently. Must be > 0. Far above any legitimate
   // completion time so it only fires on loss.
   Tick mshr_timeout = FromUs(250.0);
 };

@@ -281,8 +281,6 @@ void Link::TryTransmit(int side) {
   dir.train.clear();
 }
 
-void Link::FinishTransmit(int /*side*/, const Flit& /*flit*/) {}
-
 void Link::ReturnCredit(int receiver_side, Channel channel) {
   // The receiver on `receiver_side` frees a slot; the credit travels back to
   // the sender on the other side. Credits freed at the same tick coalesce

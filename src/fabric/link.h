@@ -247,7 +247,6 @@ class Link {
   bool CanSend(int side, Channel channel) const;
   void ReturnCredit(int receiver_side, Channel channel);
   void TryTransmit(int side);
-  void FinishTransmit(int side, const Flit& flit);
   void NotifyDrain(int side);
   void NotifyEpochChange(bool link_up);
   int PickVc(const Direction& dir) const;

@@ -343,12 +343,14 @@ void FabricSwitch::ReallocateCredits() {
       ++active;
     }
   }
+  constexpr double kMaxWeight = 64.0;
+  constexpr double kMinWeight = 1.0;
   const double avg = active > 0 ? static_cast<double>(total) / active : 0.0;
   for (auto& in : inputs_) {
     if (avg > 0.0 && static_cast<double>(in.forwarded_this_period) >= avg) {
-      in.weight = std::min(config_.max_weight, in.weight * 2.0);
+      in.weight = std::min(kMaxWeight, in.weight * 2.0);
     } else {
-      in.weight = std::max(config_.min_weight, in.weight / 2.0);
+      in.weight = std::max(kMinWeight, in.weight / 2.0);
     }
     in.forwarded_this_period = 0;
   }

@@ -54,11 +54,10 @@ struct SwitchConfig {
   SwitchArbitration arbitration = SwitchArbitration::kRoundRobin;
   CreditAllocPolicy credit_alloc = CreditAllocPolicy::kStatic;
 
-  // Exponential ramp-up parameters: every period, an input's weight doubles
-  // when it kept its backlog nonempty and halves otherwise.
+  // Exponential ramp-up period: every period, an input's weight doubles
+  // (up to 64) when it kept its backlog nonempty and halves (down to 1)
+  // otherwise.
   Tick credit_realloc_period = FromNs(1000.0);
-  double max_weight = 64.0;
-  double min_weight = 1.0;
 };
 
 struct SwitchStats {

@@ -102,16 +102,6 @@ std::string MetricRegistry::AddSummaryFn(const std::string& path, SummaryFn fn) 
 
 bool MetricRegistry::Remove(const std::string& path) { return instruments_.erase(path) != 0; }
 
-std::size_t MetricRegistry::RemovePrefix(const std::string& prefix) {
-  std::size_t removed = 0;
-  auto it = instruments_.lower_bound(prefix);
-  while (it != instruments_.end() && it->first.compare(0, prefix.size(), prefix) == 0) {
-    it = instruments_.erase(it);
-    ++removed;
-  }
-  return removed;
-}
-
 std::string MetricRegistry::ClaimPrefix(const std::string& prefix) {
   const int n = ++prefix_claims_[prefix];
   if (n == 1) {

@@ -56,13 +56,11 @@ class MetricRegistry {
   std::string AddSummaryFn(const std::string& path, SummaryFn fn);
 
   bool Remove(const std::string& path);
-  std::size_t RemovePrefix(const std::string& prefix);
 
   // Reserves a deterministic unique component prefix ("a", then "a#2", ...).
   std::string ClaimPrefix(const std::string& prefix);
 
   bool Has(const std::string& path) const { return instruments_.count(path) != 0; }
-  std::size_t NumInstruments() const { return instruments_.size(); }
 
   // One flat JSON object keyed by path, sorted, with summaries expanded to
   // {"count":..,"sum":..,"mean":..,"min":..,"max":..,"p50":..,"p99":..}.

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baseline/policies.h"
 #include "src/core/runtime.h"
 #include "src/core/uniptr.h"
 
@@ -167,10 +166,8 @@ TEST_F(HeapTest, UntouchedObjectsDecayEveryEpoch) {
 }
 
 TEST_F(HeapTest, ProfilerSummaryCountsEachLiveObjectOnce) {
-  // Three objects spread over the profiler's default 8 shards leave most
-  // shards empty; the per-epoch temperature summary must still hold exactly
-  // one sample per live object (empty shards contribute nothing, and no
-  // sample is merged twice).
+  // The per-epoch temperature summary holds exactly one sample per live
+  // object: it is rebuilt at every epoch, and a freed object leaves it.
   const ObjectId a = heap_->Allocate(64, 1);
   const ObjectId b = heap_->Allocate(64, 1);
   const ObjectId c = heap_->Allocate(64, 1);
@@ -179,16 +176,56 @@ TEST_F(HeapTest, ProfilerSummaryCountsEachLiveObjectOnce) {
   heap_->Read(c, nullptr);
   cluster_.engine().Run();
   heap_->RunEpoch();
-  EXPECT_EQ(heap_->profiler().epoch_temperature().Count(), 3u);
-  EXPECT_DOUBLE_EQ(heap_->profiler().epoch_temperature().Mean(), 0.5);
+  EXPECT_EQ(heap_->epoch_temperature().Count(), 3u);
+  EXPECT_DOUBLE_EQ(heap_->epoch_temperature().Mean(), 0.5);
 
   heap_->RunEpoch();  // no accesses: same population, decayed
-  EXPECT_EQ(heap_->profiler().epoch_temperature().Count(), 3u);
-  EXPECT_DOUBLE_EQ(heap_->profiler().epoch_temperature().Mean(), 0.25);
+  EXPECT_EQ(heap_->epoch_temperature().Count(), 3u);
+  EXPECT_DOUBLE_EQ(heap_->epoch_temperature().Mean(), 0.25);
 
   heap_->Free(c);
   heap_->RunEpoch();
-  EXPECT_EQ(heap_->profiler().epoch_temperature().Count(), 2u);
+  EXPECT_EQ(heap_->epoch_temperature().Count(), 2u);
+}
+
+TEST_F(HeapTest, EpochKeepsOnlyTheColdestCandidates) {
+  // More cold objects than one epoch hands the policy: the cap keeps the
+  // coldest kMaxEpochCandidates by (temperature, id). The kWarm lowest ids
+  // are read once, so they are warmer (yet still cold) and drop out; of the
+  // untouched objects the kWarm highest ids lose the tie-break. With no
+  // watermark and an ample budget the policy demotes every kept object.
+  constexpr std::size_t kWarm = 1000;
+  constexpr std::size_t kObjects = kMaxEpochCandidates + 2 * kWarm;
+  Cluster cluster(OneFamCluster());
+  RuntimeOptions opts;
+  opts.heap_local_bytes = kObjects * 64;
+  opts.heap.high_watermark = 0.0;
+  opts.heap.migration_budget_bytes = kObjects * 64;
+  UniFabricRuntime rt(&cluster, opts);
+  UnifiedHeap* heap = rt.heap(0);
+
+  std::vector<ObjectId> objs;
+  for (std::size_t i = 0; i < kWarm; ++i) {
+    objs.push_back(heap->Allocate(64, 0));
+    heap->Read(objs.back(), nullptr);
+  }
+  cluster.engine().Run();
+  while (objs.size() < kObjects) {
+    objs.push_back(heap->Allocate(64, 0));
+  }
+  heap->RunEpoch();
+  EXPECT_DOUBLE_EQ(heap->Info(objs.front()).temperature, 0.5);
+  EXPECT_EQ(heap->stats().hot_candidates, 0u);
+  EXPECT_EQ(heap->stats().cold_candidates, kMaxEpochCandidates);
+  EXPECT_EQ(heap->stats().demotions, kMaxEpochCandidates);
+  std::size_t misplaced = 0;
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    const bool kept = i >= kWarm && i < kWarm + kMaxEpochCandidates;
+    if (heap->TierOf(objs[i]) != (kept ? 1 : 0)) {
+      ++misplaced;
+    }
+  }
+  EXPECT_EQ(misplaced, 0u);
 }
 
 TEST_F(HeapTest, EpochDecaysTemperature) {
@@ -231,18 +268,25 @@ TEST_F(HeapTest, DemotionKicksInAboveHighWatermark) {
 }
 
 TEST_F(HeapTest, StaticPolicyNeverMoves) {
-  heap_->SetPolicy(std::make_unique<StaticPlacementPolicy>());
-  const ObjectId id = heap_->Allocate(64, 1);
+  // Static placement (what a type-unconscious allocator over CXL memory
+  // does): with migration disabled a hot object stays where it was put.
+  Cluster cluster(OneFamCluster());
+  RuntimeOptions opts;
+  opts.heap_local_bytes = 1 << 20;
+  opts.heap.migration_enabled = false;
+  UniFabricRuntime rt(&cluster, opts);
+  UnifiedHeap* heap = rt.heap(0);
+  const ObjectId id = heap->Allocate(64, 1);
   for (int epoch = 0; epoch < 5; ++epoch) {
     for (int i = 0; i < 100; ++i) {
-      heap_->Read(id, nullptr);
+      heap->Read(id, nullptr);
     }
-    cluster_.engine().Run();
-    heap_->RunEpoch();
-    cluster_.engine().Run();
+    cluster.engine().Run();
+    heap->RunEpoch();
+    cluster.engine().Run();
   }
-  EXPECT_EQ(heap_->TierOf(id), 1);
-  EXPECT_EQ(heap_->stats().promotions, 0u);
+  EXPECT_EQ(heap->TierOf(id), 1);
+  EXPECT_EQ(heap->stats().promotions, 0u);
 }
 
 TEST_F(HeapTest, MigrationBudgetCapsPerEpochMovement) {

@@ -222,6 +222,21 @@ TEST(TenantEngineTest, RejectedMigrationCompletesOnce) {
   EXPECT_TRUE(rig.cluster.engine().audit().Sweep().empty());
 }
 
+// Regression: at a tiny rate_ops_s every inter-arrival gap lies far past any
+// horizon. Converting such a gap to a Tick is out of range; it used to come
+// out as 0, so a tenant re-arrived on the same tick forever.
+TEST(TenantEngineTest, TinyRateNeverArrives) {
+  TenantRig rig(
+      "scenario trickle\n"
+      "seed 1\n"
+      "horizon_us 1000\n"
+      "class name=slow tenants=8 arrival=poisson rate_ops_s=1e-8 bytes=64 "
+      "mix=heap_read:1\n");
+  rig.tenants->Start();
+  rig.cluster.engine().Step(100000);
+  EXPECT_EQ(rig.tenants->issued(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: guaranteed-class SLO accounting across link epochs. A chassis
 // flap campaign (FAM links failing and healing mid-run) must never lose or

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baseline/policies.h"
 #include "src/core/runtime.h"
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"

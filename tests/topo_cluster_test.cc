@@ -10,7 +10,6 @@
 
 #include "src/fabric/registry.h"
 #include "src/mem/memnode.h"
-#include "src/sim/logging.h"
 #include "src/topo/accelerator.h"
 
 namespace unifab {
@@ -197,17 +196,6 @@ TEST(MemnodeTest, NamesAndDescriptions) {
   EXPECT_NE(s.find("CC-NUMA"), std::string::npos);
   EXPECT_NE(s.find("64MiB"), std::string::npos);
   EXPECT_NE(s.find("hw"), std::string::npos);
-}
-
-// ------------------------------ Logging ----------------------------------
-
-TEST(LoggingTest, ThresholdSuppressesLowerLevels) {
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // These must not crash (output is stderr; suppression is by level).
-  UF_LOG(kDebug, FromNs(5), "test") << "suppressed " << 42;
-  UF_LOG(kError, FromNs(5), "test") << "emitted";
-  SetLogLevel(LogLevel::kWarn);
 }
 
 }  // namespace
