@@ -43,7 +43,7 @@ Result Measure(FlitMode mode, std::uint32_t request_bytes, bool is_write) {
   req.bytes = request_bytes;
   const Tick t0 = engine.Now();
   bool done = false;
-  host->Submit(fea->id(), req, [&] { done = true; });
+  host->Submit(fea->id(), req, [&](bool ok) { done = ok; });
   engine.Run();
 
   Result r;

@@ -4,6 +4,7 @@
 // in the host, and (b) interleaving the 64B stream with 16KB writes
 // degrades its average latency drastically.
 
+#include <cassert>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -94,7 +95,8 @@ struct Testbed {
       req.addr = (*addr += 4160);
       req.bytes = bytes;
       const Tick t0 = engine.Now();
-      h->Submit(dst, req, [this, lat, t0, issue] {
+      h->Submit(dst, req, [this, lat, t0, issue](bool ok) {
+        assert(ok && "the testbed injects no faults");
         lat->Add(ToNs(engine.Now() - t0));
         (*issue)();
       });

@@ -182,17 +182,6 @@ void FabricArbiter::RegisterResource(PbrId node, double capacity_mbps) {
   resources_[node].capacity_mbps = capacity_mbps;
 }
 
-void FabricArbiter::SetFlowPriority(PbrId src, int priority) {
-  for (FabricSwitch* sw : switches_) {
-    sw->SetSourcePriority(src, priority);
-  }
-}
-
-double FabricArbiter::CapacityOf(PbrId node) const {
-  auto it = resources_.find(node);
-  return it == resources_.end() ? 0.0 : it->second.capacity_mbps;
-}
-
 double FabricArbiter::ReservedOf(PbrId node) const {
   auto it = resources_.find(node);
   return it == resources_.end() ? 0.0 : it->second.Reserved();
@@ -411,6 +400,7 @@ void ArbiterClientStats::BindTo(MetricGroup& group, const std::string& prefix) c
 ArbiterClient::ArbiterClient(Engine* engine, const ArbiterConfig& config,
                              MessageDispatcher* dispatcher, PbrId arbiter_node)
     : engine_(engine), config_(config), dispatcher_(dispatcher), arbiter_node_(arbiter_node) {
+  assert(config_.request_timeout > 0 && "every arbiter request needs a reply deadline");
   dispatcher_->RegisterService(kSvcArbiter,
                                [this](const FabricMessage& msg) { HandleMessage(msg); });
   metrics_ = MetricGroup(&engine_->metrics(),
@@ -432,20 +422,18 @@ void ArbiterClient::Track(std::uint64_t request_id, std::function<void(double)> 
   ++stats_.requests;
   Pending pending;
   pending.cb = std::move(cb);
-  if (config_.request_timeout > 0) {
-    pending.deadline = engine_->Schedule(config_.request_timeout, [this, request_id] {
-      auto it = callbacks_.find(request_id);
-      if (it == callbacks_.end()) {
-        return;
-      }
-      auto cb2 = std::move(it->second.cb);
-      callbacks_.erase(it);
-      ++stats_.timeouts;
-      if (cb2) {
-        cb2(0.0);
-      }
-    });
-  }
+  pending.deadline = engine_->Schedule(config_.request_timeout, [this, request_id] {
+    auto it = callbacks_.find(request_id);
+    if (it == callbacks_.end()) {
+      return;
+    }
+    auto cb2 = std::move(it->second.cb);
+    callbacks_.erase(it);
+    ++stats_.timeouts;
+    if (cb2) {
+      cb2(0.0);
+    }
+  });
   callbacks_[request_id] = std::move(pending);
 }
 

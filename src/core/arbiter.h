@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/fabric/dispatch.h"
-#include "src/fabric/switch.h"
 #include "src/sim/audit.h"
 #include "src/sim/engine.h"
 #include "src/sim/metrics.h"
@@ -66,7 +65,7 @@ struct ArbiterConfig {
 
   // Client-side deadline per Reserve/Query: if no reply arrives (arbiter
   // node dead, control path severed), the callback fires with 0 granted
-  // instead of leaking forever. 0 disables.
+  // instead of leaking forever. Must be > 0.
   Tick request_timeout = FromUs(500.0);
 
   // QoS policy, indexed by QosClass. The defaults leave single-class
@@ -106,12 +105,6 @@ class FabricArbiter {
   // bandwidth).
   void RegisterResource(PbrId node, double capacity_mbps);
 
-  // Lets the arbiter program switch priorities (arbiter-directed
-  // scheduling). Priorities apply to kPriority-arbitration switches.
-  void AttachSwitch(FabricSwitch* sw) { switches_.push_back(sw); }
-  void SetFlowPriority(PbrId src, int priority);
-
-  double CapacityOf(PbrId node) const;
   double ReservedOf(PbrId node) const;
   // Granted bandwidth currently leased to `tenant` on `node` (all classes).
   double TenantReservedOf(PbrId node, std::uint32_t tenant) const;
@@ -197,7 +190,6 @@ class FabricArbiter {
   ArbiterConfig config_;
   MessageDispatcher* dispatcher_;
   std::unordered_map<PbrId, Resource> resources_;
-  std::vector<FabricSwitch*> switches_;
   ArbiterStats stats_;
   ArbiterQosStats qos_stats_;
   MetricGroup metrics_;

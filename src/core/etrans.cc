@@ -325,7 +325,7 @@ void MigrationAgent::ReadSegment(const Segment& seg, std::uint64_t offset, std::
   req.addr = seg.addr + offset;
   req.bytes = bytes;
   req.channel = Channel::kMem;
-  host->SubmitWithStatus(seg.node, req, std::move(done));
+  host->Submit(seg.node, req, std::move(done));
 }
 
 void MigrationAgent::WriteSegment(const Segment& seg, std::uint64_t offset, std::uint32_t bytes,
@@ -346,7 +346,7 @@ void MigrationAgent::WriteSegment(const Segment& seg, std::uint64_t offset, std:
   req.addr = seg.addr + offset;
   req.bytes = bytes;
   req.channel = Channel::kMem;
-  host->SubmitWithStatus(seg.node, req, std::move(done));
+  host->Submit(seg.node, req, std::move(done));
 }
 
 void MigrationAgent::PushRemote(const Segment& seg, std::uint64_t offset, std::uint32_t bytes,

@@ -26,9 +26,6 @@ UniFabricRuntime::UniFabricRuntime(Cluster* cluster, const RuntimeOptions& optio
   arbiter_dispatcher_storage_ = std::make_unique<MessageDispatcher>(arb_adapter);
   arbiter_dispatcher_ = arbiter_dispatcher_storage_.get();
   arbiter_ = std::make_unique<FabricArbiter>(engine, options.arbiter, arbiter_dispatcher_);
-  for (const auto& sw : fabric.switches()) {
-    arbiter_->AttachSwitch(sw.get());
-  }
   for (int f = 0; f < cluster->num_fams(); ++f) {
     arbiter_->RegisterResource(cluster->fam(f)->id(), options.fam_capacity_mbps);
   }

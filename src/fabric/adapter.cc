@@ -158,16 +158,7 @@ HostAdapter::HostAdapter(Engine* engine, const AdapterConfig& config, PbrId id, 
   });
 }
 
-void HostAdapter::Submit(PbrId dst, const MemRequest& request, MemCompletion on_complete) {
-  SubmitWithStatus(dst, request, [cb = std::move(on_complete)](bool ok) {
-    if (ok && cb) {
-      cb();
-    }
-  });
-}
-
-void HostAdapter::SubmitWithStatus(PbrId dst, const MemRequest& request,
-                                   MemStatusCompletion on_complete) {
+void HostAdapter::Submit(PbrId dst, const MemRequest& request, MemStatusCompletion on_complete) {
   pending_.push_back(PendingRequest{dst, request, std::move(on_complete)});
   IssueReady();
 }

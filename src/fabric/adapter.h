@@ -38,13 +38,10 @@ struct MemRequest {
   Channel channel = Channel::kMem;
 };
 
-// Completion callback; fires when the last flit of the transaction's
-// response has been processed by the adapter.
-using MemCompletion = std::function<void()>;
-
-// Status-carrying completion: `ok` is false when the transaction was failed
-// by the adapter (its link epoch changed underneath the outstanding MSHR)
-// rather than completed by a response.
+// Completion callback; fires exactly once per transaction. `ok` is true when
+// the last flit of the response has been processed by the adapter, false
+// when the adapter failed the transaction instead: its link epoch changed
+// underneath the outstanding MSHR, or no response arrived by the deadline.
 using MemStatusCompletion = std::function<void(bool ok)>;
 
 // A runtime message delivered by an adapter.
@@ -168,11 +165,9 @@ class HostAdapter : public AdapterBase {
   HostAdapter(Engine* engine, const AdapterConfig& config, PbrId id, std::string name);
 
   // Submits a memory transaction to the remote node `dst`. Requests beyond
-  // the MSHR limit queue inside the adapter. The legacy completion only
-  // fires on success; callers that must observe failure (the eTrans retry
-  // path) use SubmitWithStatus.
-  void Submit(PbrId dst, const MemRequest& request, MemCompletion on_complete);
-  void SubmitWithStatus(PbrId dst, const MemRequest& request, MemStatusCompletion on_complete);
+  // the MSHR limit queue inside the adapter. `on_complete` (may be null)
+  // fires once, with ok = false if the transaction failed.
+  void Submit(PbrId dst, const MemRequest& request, MemStatusCompletion on_complete);
 
   std::size_t Outstanding() const { return outstanding_.size(); }
   std::size_t QueuedRequests() const { return pending_.size(); }
@@ -216,8 +211,6 @@ class EndpointAdapter : public AdapterBase {
                   FabricTarget* target);
 
   void ReceiveFlit(const Flit& flit, int port) override;
-
-  void SetTarget(FabricTarget* target) { target_ = target; }
 
  private:
   void ServeRead(const Flit& request);

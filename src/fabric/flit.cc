@@ -1,7 +1,5 @@
 #include "src/fabric/flit.h"
 
-#include <sstream>
-
 namespace unifab {
 
 const char* ChannelName(Channel c) {
@@ -16,64 +14,6 @@ const char* ChannelName(Channel c) {
       return "ctrl";
   }
   return "?";
-}
-
-const char* OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kMemRd:
-      return "MemRd";
-    case Opcode::kMemRdData:
-      return "MemRdData";
-    case Opcode::kMemWr:
-      return "MemWr";
-    case Opcode::kMemWrAck:
-      return "MemWrAck";
-    case Opcode::kSnpInv:
-      return "SnpInv";
-    case Opcode::kSnpData:
-      return "SnpData";
-    case Opcode::kSnpResp:
-      return "SnpResp";
-    case Opcode::kCfgRd:
-      return "CfgRd";
-    case Opcode::kCfgWr:
-      return "CfgWr";
-    case Opcode::kCfgResp:
-      return "CfgResp";
-    case Opcode::kMsg:
-      return "Msg";
-    case Opcode::kCreditQuery:
-      return "CreditQuery";
-    case Opcode::kCreditGrant:
-      return "CreditGrant";
-  }
-  return "?";
-}
-
-bool IsRequest(Opcode op) {
-  switch (op) {
-    case Opcode::kMemRd:
-    case Opcode::kMemWr:
-    case Opcode::kSnpInv:
-    case Opcode::kSnpData:
-    case Opcode::kCfgRd:
-    case Opcode::kCfgWr:
-    case Opcode::kMsg:
-    case Opcode::kCreditQuery:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsResponse(Opcode op) { return !IsRequest(op); }
-
-std::string Flit::ToString() const {
-  std::ostringstream out;
-  out << OpcodeName(opcode) << "(txn=" << txn_id << " " << seq + 1 << "/" << total << " "
-      << ChannelName(channel) << " src=" << src << " dst=" << dst << " addr=0x" << std::hex << addr
-      << std::dec << " payload=" << payload_bytes << "B)";
-  return out.str();
 }
 
 }  // namespace unifab

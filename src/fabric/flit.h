@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "src/sim/time.h"
 
@@ -64,11 +63,6 @@ enum class Opcode : std::uint8_t {
   kCreditGrant,
 };
 
-const char* OpcodeName(Opcode op);
-
-bool IsRequest(Opcode op);
-bool IsResponse(Opcode op);
-
 // Physical-layer flit framing (paper §2.1: 68B and 256B modes).
 enum class FlitMode : std::uint8_t { k68B, k256B };
 
@@ -105,8 +99,6 @@ struct Flit {
   // never inspects the body.
   std::uint64_t tag = 0;
   std::shared_ptr<void> body;
-
-  std::string ToString() const;
 };
 
 }  // namespace unifab

@@ -83,8 +83,6 @@ void FabricSwitch::SetRoute(PbrId dst, int out_port) {
 
 void FabricSwitch::SetDefaultRoute(int out_port) { default_route_ = out_port; }
 
-bool FabricSwitch::HasRoute(PbrId dst) const { return routes_.count(dst) != 0; }
-
 int FabricSwitch::RouteFor(PbrId dst) const {
   auto it = routes_.find(dst);
   if (it != routes_.end()) {

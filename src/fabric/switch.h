@@ -83,7 +83,6 @@ class FabricSwitch : public FlitReceiver {
   // Routing table management (normally driven by the FabricManager).
   void SetRoute(PbrId dst, int out_port);
   void SetDefaultRoute(int out_port);  // HBR escape route for foreign domains
-  bool HasRoute(PbrId dst) const;
   int RouteFor(PbrId dst) const;  // -1 when unroutable
   // Drops all routes (exact and default); used by the fabric manager before
   // re-running discovery after a topology change or link failure.

@@ -14,8 +14,11 @@ void HierarchyStats::BindTo(MetricGroup& group, const std::string& prefix) const
   group.AddCounterFn(prefix + "local_mem_accesses", [this] { return local_mem_accesses; });
   group.AddCounterFn(prefix + "remote_mem_accesses", [this] { return remote_mem_accesses; });
   group.AddCounterFn(prefix + "writebacks_to_memory", [this] { return writebacks_to_memory; });
+  group.AddCounterFn(prefix + "writebacks_failed", [this] { return writebacks_failed; });
   group.AddCounterFn(prefix + "prefetches_issued", [this] { return prefetches_issued; });
   group.AddCounterFn(prefix + "prefetch_hits", [this] { return prefetch_hits; });
+  group.AddCounterFn(prefix + "misses_completed", [this] { return misses_completed; });
+  group.AddCounterFn(prefix + "poisoned", [this] { return poisoned; });
   group.AddSummaryFn(prefix + "access_latency_ns", [this] { return &access_latency_ns; });
 }
 
@@ -29,6 +32,19 @@ MemoryHierarchy::MemoryHierarchy(Engine* engine, const HierarchyConfig& config, 
   stats_.BindTo(metrics_);
   l1_.stats().BindTo(metrics_, "l1/");
   l2_.stats().BindTo(metrics_, "l2/");
+  audit_ = AuditScope(&engine_->audit(), "mem/hierarchy/" + name_);
+  // Every miss that took an MSHR ends exactly once: filled or poisoned.
+  audit_.AddCheck("miss_conservation", [this]() -> std::string {
+    const std::uint64_t issued = stats_.local_mem_accesses + stats_.remote_mem_accesses;
+    const std::uint64_t ended = stats_.misses_completed + stats_.poisoned + mshrs_in_use_;
+    if (issued != ended) {
+      return "misses issued=" + std::to_string(issued) + " != completed(" +
+             std::to_string(stats_.misses_completed) + ") + poisoned(" +
+             std::to_string(stats_.poisoned) + ") + in flight(" +
+             std::to_string(mshrs_in_use_) + ")";
+    }
+    return {};
+  });
 }
 
 void MemoryHierarchy::MapLocal(std::uint64_t base, std::uint64_t size, DramDevice* dram) {
@@ -125,15 +141,14 @@ void MemoryHierarchy::IssueMemoryAccess(MissContext ctx, Tick path_latency) {
   const AddressRange* range = RangeFor(line);
   assert(range != nullptr && "access to unmapped address");
 
-  // Completion shared by both backends. Write-allocate: a store miss fetches
-  // the line (a read at the device) before dirtying it in cache; the dirty
-  // data returns to memory on eviction.
-  auto complete = [this, ctx = std::make_shared<MissContext>(std::move(ctx))]() mutable {
-    FinishMiss(*ctx);
-  };
-
+  // Write-allocate: a store miss fetches the line (a read at the device)
+  // before dirtying it in cache; the dirty data returns to memory on
+  // eviction.
   if (range->IsLocal()) {
     ++stats_.local_mem_accesses;
+    auto complete = [this, ctx = std::make_shared<MissContext>(std::move(ctx))] {
+      FinishMiss(*ctx, /*ok=*/true);
+    };
     engine_->Schedule(path_latency + config_.mem_ctrl_latency,
                       [this, range, complete = std::move(complete), line] {
                         range->local->Access(line, config_.line_bytes, /*is_write=*/false,
@@ -144,6 +159,9 @@ void MemoryHierarchy::IssueMemoryAccess(MissContext ctx, Tick path_latency) {
 
   ++stats_.remote_mem_accesses;
   assert(adapter_ != nullptr && "remote range mapped but no FHA attached");
+  auto complete = [this, ctx = std::make_shared<MissContext>(std::move(ctx))](bool ok) {
+    FinishMiss(*ctx, ok);
+  };
   engine_->Schedule(path_latency, [this, range, complete = std::move(complete), line] {
     MemRequest req;
     req.type = MemRequest::Type::kRead;  // write-allocate fetch
@@ -154,22 +172,30 @@ void MemoryHierarchy::IssueMemoryAccess(MissContext ctx, Tick path_latency) {
   });
 }
 
-void MemoryHierarchy::FinishMiss(const MissContext& ctx) {
+void MemoryHierarchy::FinishMiss(const MissContext& ctx, bool ok) {
   assert(mshrs_in_use_ > 0);
   --mshrs_in_use_;
 
-  if (ctx.is_prefetch) {
+  if (!ok) {
+    // The fabric failed the fetch after a link epoch change or the MSHR
+    // deadline. Retire the access the way a CXL host retires a load whose
+    // request timed out: poisoned data, a counted error, no fill, and the
+    // core is not left hanging.
+    ++stats_.poisoned;
+  } else if (ctx.is_prefetch) {
+    ++stats_.misses_completed;
     // Prefetched data lands in the L2 only.
     if (auto ev = l2_.Insert(ctx.line_addr, /*dirty=*/false); ev.has_value() && ev->dirty) {
       WritebackVictim(ev->line_addr);
     }
     prefetched_lines_.insert(ctx.line_addr);
   } else {
+    ++stats_.misses_completed;
     FillLine(ctx.line_addr, ctx.is_write);
     stats_.access_latency_ns.Add(ToNs(engine_->Now() - ctx.issued_at));
-    if (ctx.done) {
-      ctx.done();
-    }
+  }
+  if (ctx.done) {
+    ctx.done();  // prefetches carry none
   }
 
   while (!waiting_misses_.empty() && mshrs_in_use_ < config_.mshrs) {
@@ -205,7 +231,11 @@ void MemoryHierarchy::WritebackVictim(std::uint64_t line_addr) {
   req.addr = line_addr;
   req.bytes = config_.line_bytes;
   req.channel = Channel::kMem;
-  adapter_->Submit(range->remote, req, nullptr);
+  adapter_->Submit(range->remote, req, [this](bool ok) {
+    if (!ok) {
+      ++stats_.writebacks_failed;
+    }
+  });
 }
 
 void MemoryHierarchy::MaybePrefetch(std::uint64_t miss_line) {
@@ -293,7 +323,10 @@ void MemoryHierarchy::FlushLine(std::uint64_t addr, std::function<void()> done) 
   req.addr = line;
   req.bytes = config_.line_bytes;
   req.channel = Channel::kMem;
-  adapter_->Submit(range->remote, req, [done = std::move(done)] {
+  adapter_->Submit(range->remote, req, [this, done = std::move(done)](bool ok) {
+    if (!ok) {
+      ++stats_.writebacks_failed;
+    }
     if (done) {
       done();
     }

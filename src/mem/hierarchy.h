@@ -21,6 +21,7 @@
 #include "src/fabric/adapter.h"
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
+#include "src/sim/audit.h"
 #include "src/sim/engine.h"
 #include "src/sim/metrics.h"
 #include "src/sim/stats.h"
@@ -69,9 +70,14 @@ struct HierarchyStats {
   std::uint64_t local_mem_accesses = 0;
   std::uint64_t remote_mem_accesses = 0;
   std::uint64_t writebacks_to_memory = 0;
+  std::uint64_t writebacks_failed = 0;  // writebacks and flushes the fabric failed
   std::uint64_t prefetches_issued = 0;
   std::uint64_t prefetch_hits = 0;
-  Summary access_latency_ns;  // demand accesses, issue to completion
+  // Memory-level misses (demand and prefetch) that ended: with a line fill,
+  // or poisoned because the fabric failed the fetch.
+  std::uint64_t misses_completed = 0;
+  std::uint64_t poisoned = 0;
+  Summary access_latency_ns;  // demand accesses that got their data, issue to completion
 
   void BindTo(MetricGroup& group, const std::string& prefix = "") const;
 };
@@ -91,8 +97,10 @@ class MemoryHierarchy {
   void MapRemote(std::uint64_t base, std::uint64_t size, PbrId node);
   void SetFabricAdapter(HostAdapter* adapter) { adapter_ = adapter; }
 
-  // Issues one cacheline access. `done` fires when the load would retire /
-  // the store is globally visible.
+  // Issues one cacheline access. `done` fires once, when the load would
+  // retire / the store is globally visible. A miss the fabric fails (link
+  // epoch change, MSHR deadline) retires poisoned instead: `done` still
+  // fires, the line is not filled and stats().poisoned counts it.
   void Access(std::uint64_t addr, bool is_write, std::function<void()> done);
 
   // Splits an arbitrary [addr, addr+bytes) range into line accesses and
@@ -106,7 +114,8 @@ class MemoryHierarchy {
   bool InvalidateLine(std::uint64_t addr, bool* was_dirty = nullptr);
 
   // Writes a dirty line back to its backing store (if dirty) and cleans it.
-  // `done` fires when the writeback is durable.
+  // `done` fires when the writeback is durable, or has failed (counted in
+  // stats().writebacks_failed).
   void FlushLine(std::uint64_t addr, std::function<void()> done);
 
   bool LinePresent(std::uint64_t addr) const;
@@ -130,7 +139,7 @@ class MemoryHierarchy {
   const AddressRange* RangeFor(std::uint64_t addr) const;
   void StartMiss(MissContext ctx, Tick path_latency);
   void IssueMemoryAccess(MissContext ctx, Tick path_latency);
-  void FinishMiss(const MissContext& ctx);
+  void FinishMiss(const MissContext& ctx, bool ok);
   void FillLine(std::uint64_t line_addr, bool dirty);
   void WritebackVictim(std::uint64_t line_addr);
   void MaybePrefetch(std::uint64_t miss_line);
@@ -157,6 +166,7 @@ class MemoryHierarchy {
 
   HierarchyStats stats_;
   MetricGroup metrics_;
+  AuditScope audit_;  // after the state the checks read
 };
 
 }  // namespace unifab

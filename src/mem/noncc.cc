@@ -12,6 +12,8 @@ void NonCcStats::BindTo(MetricGroup& group, const std::string& prefix) const {
   group.AddCounterFn(prefix + "flushes", [this] { return flushes; });
   group.AddCounterFn(prefix + "invalidates", [this] { return invalidates; });
   group.AddCounterFn(prefix + "stale_reads", [this] { return stale_reads; });
+  group.AddCounterFn(prefix + "failed_fetches", [this] { return failed_fetches; });
+  group.AddCounterFn(prefix + "failed_flushes", [this] { return failed_flushes; });
 }
 
 NonCcPort::NonCcPort(Engine* engine, const NonCcConfig& config, HostAdapter* adapter,
@@ -54,19 +56,15 @@ void NonCcPort::Read(std::uint64_t addr, std::function<void(bool)> done) {
   req.type = MemRequest::Type::kRead;
   req.addr = block;
   req.bytes = config_.block_bytes;
-  adapter_->Submit(remote_, req, [this, block, done = std::move(done)] {
-    // Fetch observes the remote truth as of completion time.
-    fetched_version_[block] = oracle_->Current(block);
-    if (auto ev = cache_.Insert(block, /*dirty=*/false); ev.has_value() && ev->dirty) {
-      // A dirty victim must reach the node or its writes are lost; software
-      // runtimes schedule this flush themselves.
-      MemRequest wb;
-      wb.type = MemRequest::Type::kWrite;
-      wb.addr = ev->line_addr;
-      wb.bytes = config_.block_bytes;
-      adapter_->Submit(remote_, wb, nullptr);
-      oracle_->Bump(ev->line_addr);
-      ++stats_.flushes;
+  adapter_->Submit(remote_, req, [this, block, done = std::move(done)](bool ok) {
+    if (!ok) {
+      ++stats_.failed_fetches;
+    } else {
+      // Fetch observes the remote truth as of completion time.
+      fetched_version_[block] = oracle_->Current(block);
+      if (auto ev = cache_.Insert(block, /*dirty=*/false); ev.has_value() && ev->dirty) {
+        WritebackVictim(ev->line_addr);
+      }
     }
     if (done) {
       done(false);
@@ -78,15 +76,25 @@ void NonCcPort::Write(std::uint64_t addr, std::function<void()> done) {
   const std::uint64_t block = cache_.LineBase(addr);
   ++stats_.write_buffered;
   if (auto ev = cache_.Insert(block, /*dirty=*/true); ev.has_value() && ev->dirty) {
-    MemRequest wb;
-    wb.type = MemRequest::Type::kWrite;
-    wb.addr = ev->line_addr;
-    wb.bytes = config_.block_bytes;
-    adapter_->Submit(remote_, wb, nullptr);
-    oracle_->Bump(ev->line_addr);
-    ++stats_.flushes;
+    WritebackVictim(ev->line_addr);
   }
   engine_->Schedule(config_.sw_cache_hit_latency, std::move(done));
+}
+
+void NonCcPort::WritebackVictim(std::uint64_t block) {
+  // A dirty victim must reach the node or its writes are lost; software
+  // runtimes schedule this flush themselves. The oracle advances at issue.
+  MemRequest wb;
+  wb.type = MemRequest::Type::kWrite;
+  wb.addr = block;
+  wb.bytes = config_.block_bytes;
+  adapter_->Submit(remote_, wb, [this](bool ok) {
+    if (!ok) {
+      ++stats_.failed_flushes;
+    }
+  });
+  oracle_->Bump(block);
+  ++stats_.flushes;
 }
 
 void NonCcPort::FlushBlock(std::uint64_t addr, std::function<void()> done) {
@@ -101,8 +109,12 @@ void NonCcPort::FlushBlock(std::uint64_t addr, std::function<void()> done) {
   wb.type = MemRequest::Type::kWrite;
   wb.addr = block;
   wb.bytes = config_.block_bytes;
-  adapter_->Submit(remote_, wb, [this, block, done = std::move(done)] {
-    fetched_version_[block] = oracle_->Bump(block);
+  adapter_->Submit(remote_, wb, [this, block, done = std::move(done)](bool ok) {
+    if (ok) {
+      fetched_version_[block] = oracle_->Bump(block);
+    } else {
+      ++stats_.failed_flushes;
+    }
     if (done) {
       done();
     }
@@ -130,12 +142,6 @@ void NonCcPort::InvalidateBlock(std::uint64_t addr) {
   const std::uint64_t block = cache_.LineBase(addr);
   cache_.Invalidate(block);
   fetched_version_.erase(block);
-}
-
-void NonCcPort::InvalidateAll() {
-  for (std::uint64_t block : cache_.ValidLines()) {
-    InvalidateBlock(block);
-  }
 }
 
 MemoryNodeCaps NonCcPort::Caps() const {

@@ -54,6 +54,8 @@ struct NonCcStats {
   std::uint64_t flushes = 0;
   std::uint64_t invalidates = 0;
   std::uint64_t stale_reads = 0;  // read served from a cached copy older than truth
+  std::uint64_t failed_fetches = 0;  // read misses the fabric failed (nothing cached)
+  std::uint64_t failed_flushes = 0;  // block writes the fabric failed
 
   void BindTo(MetricGroup& group, const std::string& prefix = "") const;
 };
@@ -65,13 +67,15 @@ class NonCcPort {
             SharedStateOracle* oracle, std::string name);
 
   // Reads a block: local software cache first, else fetch. `done` receives
-  // whether the value served was stale w.r.t. the oracle.
+  // whether the value served was stale w.r.t. the oracle. A fetch the fabric
+  // fails caches nothing and still completes (counted in failed_fetches).
   void Read(std::uint64_t addr, std::function<void(bool stale)> done);
 
   // Writes locally (write-back). Data reaches the remote node only on Flush.
   void Write(std::uint64_t addr, std::function<void()> done);
 
-  // Pushes one dirty block to the remote node.
+  // Pushes one dirty block to the remote node. `done` fires when the write
+  // is durable or has failed; a failed write does not advance the oracle.
   void FlushBlock(std::uint64_t addr, std::function<void()> done);
 
   // Pushes all dirty blocks; `done` fires when the last write is durable.
@@ -80,7 +84,6 @@ class NonCcPort {
   // Drops cached copies so the next read refetches (the software
   // counterpart of a hardware invalidate).
   void InvalidateBlock(std::uint64_t addr);
-  void InvalidateAll();
 
   bool Holds(std::uint64_t addr) const { return cache_.Contains(addr); }
   std::uint64_t CachedVersion(std::uint64_t addr) const;
@@ -89,6 +92,9 @@ class NonCcPort {
   MemoryNodeCaps Caps() const;
 
  private:
+  // Writes back a dirty victim the cache just evicted.
+  void WritebackVictim(std::uint64_t block);
+
   Engine* engine_;
   NonCcConfig config_;
   HostAdapter* adapter_;

@@ -352,6 +352,12 @@ void ShardedEngine::CollectGlobals() {
 std::size_t ShardedEngine::FireGlobals(Tick window_end) {
   std::size_t fired = 0;
   while (!globals_.empty() && globals_.front().when <= window_end) {
+    // An earlier global may have scheduled a local event behind this
+    // global's tick. Pulling the clocks up would skip it, so stop here and
+    // let RunCore open a window up to this global first.
+    if (MinNextEventTime() < globals_.front().when) {
+      break;
+    }
     GlobalEvent event = std::move(globals_.front());
     globals_.erase(globals_.begin());
     // Every shard is parked and has fired everything <= window_end; pull

@@ -21,7 +21,10 @@
 //     violated the lookahead contract; the run aborts loudly.
 //   * Global events (ScheduleGlobal) fire between windows with all shards
 //     parked, in (tick, staging shard, sequence) order: routing rebuilds
-//     and fault injection mutate the world only at barriers.
+//     and fault injection mutate the world only at barriers. A barrier
+//     stops before a global whose tick is later than some shard's earliest
+//     pending local event (one an earlier global scheduled), so the next
+//     window fires that event before any clock is pulled past it.
 //
 // Determinism: the shard partition is fixed by the topology, never by the
 // worker-thread count — UNIFAB_SHARDS (or Options::workers) only sets how

@@ -285,20 +285,5 @@ TEST(FabricArbiterQosTest, SameHolderDistinctTenantsHoldIndependentLeases) {
   EXPECT_DOUBLE_EQ(rig.arbiter->TenantReservedOf(res, 2), 4000.0);
 }
 
-TEST(ArbiterClientTest, ZeroTimeoutDisablesDeadline) {
-  ArbiterConfig cfg;
-  cfg.request_timeout = 0;
-  ArbiterRig rig(cfg);
-  const PbrId res = rig.client_adapters[1]->id();
-  rig.arbiter->RegisterResource(res, 8000.0);
-
-  rig.client_links[0]->Fail();
-  bool called = false;
-  rig.clients[0]->Reserve(res, 4000.0, [&](double) { called = true; });
-  rig.engine.Run();
-  EXPECT_FALSE(called);  // legacy behavior: the request waits forever
-  EXPECT_EQ(rig.clients[0]->outstanding(), 1u);
-}
-
 }  // namespace
 }  // namespace unifab

@@ -65,7 +65,7 @@ TEST(AdapterTest, SingleReadCompletes) {
   req.type = MemRequest::Type::kRead;
   req.addr = 0x100;
   req.bytes = 64;
-  rig.hosts[0]->Submit(rig.fea->id(), req, [&] { done = true; });
+  rig.hosts[0]->Submit(rig.fea->id(), req, [&](bool ok) { done = ok; });
   rig.engine.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(rig.hosts[0]->stats().reads_completed, 1u);
@@ -78,7 +78,7 @@ TEST(AdapterTest, LargeReadSegmentsResponseIntoFlits) {
   MemRequest req;
   req.type = MemRequest::Type::kRead;
   req.bytes = 4096;  // 64 response flits in 68B mode
-  rig.hosts[0]->Submit(rig.fea->id(), req, [&] { done = true; });
+  rig.hosts[0]->Submit(rig.fea->id(), req, [&](bool ok) { done = ok; });
   rig.engine.Run();
   EXPECT_TRUE(done);
   // 1 request flit + 64 response flits traverse the switch.
@@ -91,7 +91,7 @@ TEST(AdapterTest, WriteCarriesPayloadFlitsAndAcks) {
   MemRequest req;
   req.type = MemRequest::Type::kWrite;
   req.bytes = 1024;  // 16 payload flits
-  rig.hosts[0]->Submit(rig.fea->id(), req, [&] { done = true; });
+  rig.hosts[0]->Submit(rig.fea->id(), req, [&](bool ok) { done = ok; });
   rig.engine.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(rig.hosts[0]->stats().writes_completed, 1u);
@@ -106,7 +106,7 @@ TEST(AdapterTest, MshrLimitQueuesExcessRequests) {
     req.type = MemRequest::Type::kRead;
     req.addr = static_cast<std::uint64_t>(i) * 4096;
     req.bytes = 64;
-    rig.hosts[0]->Submit(rig.fea->id(), req, [&] { ++completed; });
+    rig.hosts[0]->Submit(rig.fea->id(), req, [&](bool ok) { EXPECT_TRUE(ok); ++completed; });
   }
   EXPECT_EQ(rig.hosts[0]->Outstanding(), 4u);
   EXPECT_EQ(rig.hosts[0]->QueuedRequests(), 6u);
@@ -127,7 +127,7 @@ TEST(AdapterTest, ConcurrentMultiFlitWritesFromManyHostsAllComplete) {
       req.type = MemRequest::Type::kWrite;
       req.addr = static_cast<std::uint64_t>(completed) * 8192;
       req.bytes = 4096;  // 64 flits each — heavy interleaving at the FEA
-      host->Submit(rig.fea->id(), req, [&] { ++completed; });
+      host->Submit(rig.fea->id(), req, [&](bool ok) { EXPECT_TRUE(ok); ++completed; });
     }
   }
   rig.engine.Run();
@@ -197,12 +197,12 @@ TEST_P(AdapterModeTest, RequestsCompleteAcrossModesAndSizes) {
   MemRequest rd;
   rd.type = MemRequest::Type::kRead;
   rd.bytes = bytes;
-  rig.hosts[0]->Submit(rig.fea->id(), rd, [&] { read_done = true; });
+  rig.hosts[0]->Submit(rig.fea->id(), rd, [&](bool ok) { read_done = ok; });
   MemRequest wr;
   wr.type = MemRequest::Type::kWrite;
   wr.addr = 1 << 20;
   wr.bytes = bytes;
-  rig.hosts[0]->Submit(rig.fea->id(), wr, [&] { write_done = true; });
+  rig.hosts[0]->Submit(rig.fea->id(), wr, [&](bool ok) { write_done = ok; });
   rig.engine.Run();
   EXPECT_TRUE(read_done);
   EXPECT_TRUE(write_done);
@@ -228,7 +228,7 @@ TEST(AdapterTest, Wide256BModeUsesFewerFlits) {
     MemRequest req;
     req.type = MemRequest::Type::kWrite;
     req.bytes = 4096;
-    rig->hosts[0]->Submit(rig->fea->id(), req, nullptr);
+    rig->hosts[0]->Submit(rig->fea->id(), req, [](bool ok) { EXPECT_TRUE(ok); });
     rig->engine.Run();
   }
   // 68B mode: 64 payload flits; 256B mode: ceil(4096/192) = 22.
@@ -242,7 +242,7 @@ TEST(AdapterTest, TransactionLatencyIsRecorded) {
   MemRequest req;
   req.type = MemRequest::Type::kRead;
   req.bytes = 64;
-  rig.hosts[0]->Submit(rig.fea->id(), req, nullptr);
+  rig.hosts[0]->Submit(rig.fea->id(), req, [](bool ok) { EXPECT_TRUE(ok); });
   rig.engine.Run();
   ASSERT_EQ(rig.hosts[0]->stats().txn_latency_ns.Count(), 1u);
   EXPECT_GT(rig.hosts[0]->stats().txn_latency_ns.Mean(), 100.0);

@@ -14,6 +14,7 @@
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
 #include "src/mem/dram.h"
+#include "src/mem/hierarchy.h"
 #include "src/topo/faults.h"
 #include "src/topo/presets.h"
 
@@ -43,14 +44,16 @@ struct RedundantRig {
     fabric.ConfigureRouting();
   }
 
+  // A failed request ends only at its MSHR deadline, after this returns, so
+  // the completion must not point into this frame.
   bool RoundTrip() {
-    bool done = false;
+    auto done = std::make_shared<bool>(false);
     MemRequest req;
     req.type = MemRequest::Type::kRead;
     req.bytes = 64;
-    host->Submit(fea->id(), req, [&] { done = true; });
+    host->Submit(fea->id(), req, [done](bool ok) { *done = ok; });
     engine.RunFor(FromUs(50));
-    return done;
+    return *done;
   }
 
   Engine engine;
@@ -188,7 +191,7 @@ TEST(FailoverTest, EdgeLinkFailureIsolatesOnlyThatAdapter) {
   MemRequest req;
   req.type = MemRequest::Type::kRead;
   req.bytes = 64;
-  h1->Submit(fea->id(), req, [&] { h1_done = true; });
+  h1->Submit(fea->id(), req, [&](bool ok) { h1_done = ok; });
   engine.RunFor(FromUs(50));
   EXPECT_TRUE(h1_done);
   EXPECT_EQ(fabric.HopCount(h0->id(), fea->id()), -1);
@@ -226,7 +229,7 @@ TEST(MshrTest, OwnLinkEpochChangeFailsOutstandingTransactions) {
   MemRequest req;
   req.type = MemRequest::Type::kRead;
   req.bytes = 64;
-  rig.host->SubmitWithStatus(rig.fea->id(), req, [&](bool ok) {
+  rig.host->Submit(rig.fea->id(), req, [&](bool ok) {
     ok ? ++ok_count : ++fail_count;
   });
   // Let the request leave the adapter (MSHR allocated), then cut the host's
@@ -252,7 +255,7 @@ TEST(MshrTest, BlackholedRequestTimesOutAndReclaimsMshr) {
   MemRequest req;
   req.type = MemRequest::Type::kWrite;
   req.bytes = 256;
-  rig.host->SubmitWithStatus(rig.fea->id(), req, [&](bool ok) {
+  rig.host->Submit(rig.fea->id(), req, [&](bool ok) {
     completed = true;
     status_ok = ok;
   });
@@ -261,6 +264,58 @@ TEST(MshrTest, BlackholedRequestTimesOutAndReclaimsMshr) {
   EXPECT_FALSE(status_ok);
   EXPECT_EQ(rig.host->Outstanding(), 0u);
   EXPECT_EQ(rig.host->stats().mshr_timeouts, 1u);
+}
+
+// A core whose cacheline misses go to the FEA's DRAM through the rig's host
+// adapter (no local memory: every miss crosses the fabric).
+struct CoreRig : MshrRig {
+  CoreRig() : core(&engine, OmegaHostHierarchy(), "core") {
+    core.MapRemote(0, 1ULL << 30, fea->id());
+    core.SetFabricAdapter(host);
+  }
+
+  MemoryHierarchy core;
+};
+
+TEST(MshrTest, FailedCachelineMissRetiresPoisonedAndFreesItsMshr) {
+  CoreRig rig;
+  // The FAM's edge link is down: the fetch is black-holed and only the
+  // adapter's MSHR deadline ends it.
+  rig.fea_link->Fail();
+  int done = 0;
+  rig.core.Access(0x1040, /*is_write=*/false, [&] { ++done; });
+  rig.engine.Run();
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(rig.core.MshrsInUse(), 0u);
+  EXPECT_EQ(rig.core.stats().poisoned, 1u);
+  EXPECT_EQ(rig.core.stats().misses_completed, 0u);
+  EXPECT_FALSE(rig.core.LinePresent(0x1040));  // poisoned data is not cached
+  EXPECT_EQ(rig.host->stats().mshr_timeouts, 1u);
+  EXPECT_TRUE(rig.engine.audit().Sweep().empty());
+
+  // Once the link is back, the same load fills the line.
+  rig.fea_link->Recover();
+  rig.core.Access(0x1040, /*is_write=*/false, [&] { ++done; });
+  rig.engine.Run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(rig.core.stats().misses_completed, 1u);
+  EXPECT_TRUE(rig.core.LinePresent(0x1040));
+  EXPECT_TRUE(rig.engine.audit().Sweep().empty());
+}
+
+TEST(MshrTest, FailedFlushStillCompletesAndIsCounted) {
+  CoreRig rig;
+  bool stored = false;
+  rig.core.Access(0x2000, /*is_write=*/true, [&] { stored = true; });
+  rig.engine.Run();
+  ASSERT_TRUE(stored);
+  rig.fea_link->Fail();
+  int flushed = 0;
+  rig.core.FlushLine(0x2000, [&] { ++flushed; });
+  rig.engine.Run();
+  EXPECT_EQ(flushed, 1);
+  EXPECT_EQ(rig.core.stats().writebacks_failed, 1u);
+  EXPECT_EQ(rig.core.stats().poisoned, 0u);
 }
 
 // --------------------------- Fault-plan parsing ---------------------------

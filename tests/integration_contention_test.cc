@@ -75,7 +75,10 @@ TEST(ContentionTest, CoresShareTheHostFha) {
       req.type = MemRequest::Type::kRead;
       req.addr = *addr;
       req.bytes = 4096;
-      fha->Submit(fam, req, *self);
+      fha->Submit(fam, req, [self](bool ok) {
+        EXPECT_TRUE(ok);
+        (*self)();
+      });
     };
     chains.push_back(loop);  // keep-alive: the closure no longer owns itself
     (*loop)();

@@ -331,7 +331,7 @@ class NonCcTest : public ::testing::Test {
     auto* sw = fabric_.AddSwitch(FabrexSwitch(), "sw");
     dram_ = std::make_unique<DramDevice>(&engine_, OmegaLocalDram(), "fam-dram");
     auto* fea = fabric_.AddEndpointAdapter(OmegaEndpointAdapter(), "fea", dram_.get());
-    fabric_.Connect(sw, fea, OmegaLink());
+    fea_link_ = fabric_.Connect(sw, fea, OmegaLink());
     for (int i = 0; i < 2; ++i) {
       const std::string n = std::to_string(i);
       auto* fha = fabric_.AddHostAdapter(OmegaHostAdapter(), "h" + n);
@@ -345,6 +345,7 @@ class NonCcTest : public ::testing::Test {
   Engine engine_;
   FabricInterconnect fabric_;
   std::unique_ptr<DramDevice> dram_;
+  Link* fea_link_ = nullptr;
   SharedStateOracle oracle_;
   std::unique_ptr<NonCcPort> port_[2];
 };
@@ -414,6 +415,24 @@ TEST_F(NonCcTest, FlushAllPushesEveryDirtyBlock) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(oracle_.Current(0x1000 + static_cast<std::uint64_t>(i) * 64), 1u);
   }
+}
+
+TEST_F(NonCcTest, FailedFetchAndFlushCompleteWithoutCachingOrBumping) {
+  port_[0]->Write(0x300, nullptr);
+  engine_.Run();
+  // The node's link is down: both requests end at the MSHR deadline.
+  fea_link_->Fail();
+  int reads = 0;
+  port_[0]->Read(0x100, [&](bool) { ++reads; });
+  int flushes = 0;
+  port_[0]->FlushBlock(0x300, [&] { ++flushes; });
+  engine_.Run();
+  EXPECT_EQ(reads, 1);
+  EXPECT_FALSE(port_[0]->Holds(0x100));
+  EXPECT_EQ(port_[0]->stats().failed_fetches, 1u);
+  EXPECT_EQ(flushes, 1);
+  EXPECT_EQ(port_[0]->stats().failed_flushes, 1u);
+  EXPECT_EQ(oracle_.Current(0x300), 0u);  // the write never reached the node
 }
 
 // ------------------------------ COMA -------------------------------------

@@ -437,7 +437,10 @@ TEST_P(FabricFuzzTest, RandomTrafficAlwaysDrainsAndConserves) {
     req.bytes = sizes[rng.NextBelow(4)];
     ++submitted;
     cluster.engine().Schedule(FromNs(50) * rng.NextBelow(2000), [&, host, fam, req] {
-      cluster.host(host)->fha()->Submit(cluster.fam(fam)->id(), req, [&] { ++completed; });
+      cluster.host(host)->fha()->Submit(cluster.fam(fam)->id(), req, [&](bool ok) {
+        EXPECT_TRUE(ok);
+        ++completed;
+      });
     });
   }
   cluster.engine().Run();
@@ -454,10 +457,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FabricFuzzTest, ::testing::Values(100u, 200u, 30
 
 // -------------------------- Fault campaign fuzz ---------------------------
 //
-// Random eTrans traffic under a random (but always-healing) fault campaign.
-// The recovery contract: every observed future reaches a terminal state (ok
-// or aborted, never wedged), and at quiescence every fabric link accounts
-// for each accepted flit as either delivered or dropped-by-failure.
+// Random eTrans traffic and random cacheline loads/stores from host cores
+// under a random (but always-healing) fault campaign on the same FAMs. The
+// recovery contract: every observed future reaches a terminal state (ok or
+// aborted, never wedged), every access's `done` fires exactly once (a miss
+// the fabric fails retires poisoned), and at quiescence every fabric link
+// accounts for each accepted flit as either delivered or dropped-by-failure,
+// no MSHR is held and the audit sweep is clean.
 
 class FaultCampaignFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -513,7 +519,39 @@ TEST_P(FaultCampaignFuzzTest, NoWedgedFuturesAndFlitsConserved) {
       futures.push_back(runtime.etrans()->Submit(runtime.host_agent(host), d));
     });
   }
+  // Cacheline traffic from every core onto the same FAMs over the same
+  // window; a miss black-holed by an outage ends at the MSHR deadline.
+  constexpr int kAccesses = 300;
+  std::vector<int> done_count(kAccesses, 0);
+  for (int i = 0; i < kAccesses; ++i) {
+    HostServer* host = cluster.host(static_cast<int>(rng.NextBelow(2)));
+    MemoryHierarchy* core = host->core(static_cast<int>(rng.NextBelow(host->num_cores())));
+    const std::uint64_t addr =
+        cluster.FamBase(static_cast<int>(rng.NextBelow(2))) + rng.NextBelow(1 << 20);
+    const bool is_write = rng.NextBool(0.3);
+    cluster.engine().Schedule(FromUs(1.0) * rng.NextBelow(2500), [&, core, addr, is_write, i] {
+      core->Access(addr, is_write, [&done_count, i] { ++done_count[i]; });
+    });
+  }
   cluster.engine().Run();
+
+  for (int i = 0; i < kAccesses; ++i) {
+    EXPECT_EQ(done_count[i], 1) << "access " << i;
+  }
+  std::uint64_t filled = 0;
+  std::uint64_t poisoned = 0;
+  for (int h = 0; h < 2; ++h) {
+    for (int c = 0; c < cluster.host(h)->num_cores(); ++c) {
+      const MemoryHierarchy* core = cluster.host(h)->core(c);
+      EXPECT_EQ(core->MshrsInUse(), 0u) << "host " << h << " core " << c;
+      filled += core->stats().misses_completed;
+      poisoned += core->stats().poisoned;
+    }
+  }
+  // Both endings occur: the outages black-hole some misses at every seed.
+  EXPECT_GT(filled, 0u);
+  EXPECT_GT(poisoned, 0u);
+  EXPECT_TRUE(cluster.engine().audit().Sweep().empty());
 
   // No wedged futures: each one is terminal — completed or aborted.
   ASSERT_EQ(futures.size(), static_cast<std::size_t>(kTransfers));

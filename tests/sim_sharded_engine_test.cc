@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -179,6 +180,27 @@ TEST(ShardedEngineTest, GlobalEventsFireAtBarrierWithAllShardsParked) {
 
   group.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(ShardedEngineTest, LaterGlobalDoesNotSkipALocalEventAnEarlierGlobalScheduled) {
+  // Two globals staged inside one window fire at the same barrier. The first
+  // schedules a delay-0 event on shard "a"; the second must not pull a's
+  // clock past that event before it fires.
+  ShardedEngine group;
+  Engine& a = group.AddShard("a");
+  group.SetLookahead(kLookahead);
+  std::vector<std::pair<char, Tick>> fired;
+  group.root().Schedule(10, [&] {
+    group.root().ScheduleGlobal(5, [&] {
+      fired.emplace_back('g', a.Now());
+      a.Schedule(0, [&] { fired.emplace_back('l', a.Now()); });
+    });
+    group.root().ScheduleGlobal(100, [&] { fired.emplace_back('G', a.Now()); });
+  });
+  group.Run();
+  const std::vector<std::pair<char, Tick>> want = {{'g', 15}, {'l', 15}, {'G', 110}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(a.late_schedules(), 0u);
 }
 
 TEST(ShardedEngineTest, RootRunDrivesTheWholeGroup) {
