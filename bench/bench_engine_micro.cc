@@ -81,6 +81,43 @@ void BM_EngineDeepQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDeepQueue)->Arg(1024)->Arg(16384);
 
+// The MSHR pattern: each of `range(0)` operations in flight arms its own
+// far deadline and cancels it when it completes (1-2 us later), then starts
+// the next operation. Every deadline lands on a distinct tick and none
+// fires. Reported only: bench/baseline/engine_micro_floor.txt holds no floor
+// for it.
+struct TimeoutChurn {
+  explicit TimeoutChurn(std::size_t in_flight) : deadlines(in_flight) {
+    engine.SetAuditCadence(0);  // calibration-dependent stream: keep unaudited
+    for (std::size_t lane = 0; lane < in_flight; ++lane) {
+      Start(lane);
+    }
+  }
+
+  void Start(std::size_t lane) {
+    deadlines[lane] = engine.Schedule(FromUs(250.0), [] {});
+    const Tick latency = FromNs(1000.0) + (ops++ * 7919) % FromNs(1000.0);
+    engine.Schedule(latency, [this, lane] {
+      engine.Cancel(deadlines[lane]);
+      Start(lane);
+    });
+  }
+
+  Engine engine;
+  std::vector<EventId> deadlines;
+  std::uint64_t ops = 0;
+};
+
+void BM_EngineTimeoutChurn(benchmark::State& state) {
+  TimeoutChurn churn(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    churn.engine.Step(1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  NoteIterations("engine_timeout_churn/" + std::to_string(state.range(0)), state);
+}
+BENCHMARK(BM_EngineTimeoutChurn)->Arg(64);
+
 void BM_CacheAccessHit(benchmark::State& state) {
   SetAssocCache cache(CacheConfig{32 * 1024, 64, 8});
   for (std::uint64_t a = 0; a < 32 * 1024; a += 64) {

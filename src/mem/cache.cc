@@ -1,5 +1,6 @@
 #include "src/mem/cache.h"
 
+#include <bit>
 #include <cassert>
 
 namespace unifab {
@@ -24,15 +25,17 @@ SetAssocCache::SetAssocCache(const CacheConfig& config) : config_(config) {
   num_sets_ = config_.size_bytes / config_.line_bytes / config_.ways;
   assert(IsPowerOfTwo(num_sets_));
   line_mask_ = config_.line_bytes - 1;
+  line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
+  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(num_sets_));
   ways_.resize(num_sets_ * config_.ways);
 }
 
 std::uint64_t SetAssocCache::SetOf(std::uint64_t addr) const {
-  return (addr / config_.line_bytes) & (num_sets_ - 1);
+  return (addr >> line_shift_) & (num_sets_ - 1);
 }
 
 std::uint64_t SetAssocCache::TagOf(std::uint64_t addr) const {
-  return addr / config_.line_bytes / num_sets_;
+  return addr >> tag_shift_;
 }
 
 SetAssocCache::Way* SetAssocCache::FindWay(std::uint64_t addr) {
@@ -124,6 +127,12 @@ bool SetAssocCache::Invalidate(std::uint64_t addr, bool* was_dirty) {
 void SetAssocCache::CleanLine(std::uint64_t addr) {
   if (Way* way = FindWay(addr); way != nullptr) {
     way->dirty = false;
+  }
+}
+
+void SetAssocCache::MarkDirty(std::uint64_t addr) {
+  if (Way* way = FindWay(addr); way != nullptr) {
+    way->dirty = true;
   }
 }
 

@@ -66,6 +66,10 @@ class SetAssocCache {
   // Clears dirty bit (after an explicit flush wrote the line back).
   void CleanLine(std::uint64_t addr);
 
+  // Sets the dirty bit of a present line without touching LRU order or
+  // stats (a flush whose writeback failed hands the data back to the cache).
+  void MarkDirty(std::uint64_t addr);
+
   // Returns the aligned base addresses of all valid (optionally: dirty-only)
   // lines. Used by flush-range operations and COMA replacement.
   std::vector<std::uint64_t> ValidLines(bool dirty_only = false) const;
@@ -91,6 +95,8 @@ class SetAssocCache {
   CacheConfig config_;
   std::uint64_t num_sets_;
   std::uint64_t line_mask_;
+  unsigned line_shift_;  // log2(line_bytes)
+  unsigned tag_shift_;   // log2(line_bytes * num_sets)
   std::uint64_t lru_clock_ = 0;
   std::vector<Way> ways_;  // num_sets_ * config_.ways, row-major by set
   CacheStats stats_;

@@ -323,9 +323,13 @@ void MemoryHierarchy::FlushLine(std::uint64_t addr, std::function<void()> done) 
   req.addr = line;
   req.bytes = config_.line_bytes;
   req.channel = Channel::kMem;
-  adapter_->Submit(range->remote, req, [this, done = std::move(done)](bool ok) {
+  adapter_->Submit(range->remote, req, [this, line, done = std::move(done)](bool ok) {
     if (!ok) {
+      // The store is not durable: dirty the line again wherever it is still
+      // cached, so the next flush or eviction writes it back.
       ++stats_.writebacks_failed;
+      l1_.MarkDirty(line);
+      l2_.MarkDirty(line);
     }
     if (done) {
       done();

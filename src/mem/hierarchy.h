@@ -115,7 +115,8 @@ class MemoryHierarchy {
 
   // Writes a dirty line back to its backing store (if dirty) and cleans it.
   // `done` fires when the writeback is durable, or has failed (counted in
-  // stats().writebacks_failed).
+  // stats().writebacks_failed); a failed writeback leaves the line dirty
+  // wherever it is still cached.
   void FlushLine(std::uint64_t addr, std::function<void()> done);
 
   bool LinePresent(std::uint64_t addr) const;

@@ -114,6 +114,7 @@ void NonCcPort::FlushBlock(std::uint64_t addr, std::function<void()> done) {
       fetched_version_[block] = oracle_->Bump(block);
     } else {
       ++stats_.failed_flushes;
+      cache_.MarkDirty(block);  // not durable: the next flush retries it
     }
     if (done) {
       done();

@@ -75,7 +75,8 @@ class NonCcPort {
   void Write(std::uint64_t addr, std::function<void()> done);
 
   // Pushes one dirty block to the remote node. `done` fires when the write
-  // is durable or has failed; a failed write does not advance the oracle.
+  // is durable or has failed; a failed write does not advance the oracle
+  // and leaves the block dirty for the next flush.
   void FlushBlock(std::uint64_t addr, std::function<void()> done);
 
   // Pushes all dirty blocks; `done` fires when the last write is durable.

@@ -228,13 +228,19 @@ class Engine {
                                  const std::string& prefix);
 
   // Appends an event destined for shard `dst` to this (executing) shard's
-  // outbox; harvested and merged into dst's queue at the next barrier.
-  void StageCross(std::uint32_t dst, Tick when, EventCallback fn) {
-    outbox_[dst].push_back(CrossEvent{when, cross_seq_++, std::move(fn)});
+  // outbox; harvested and merged into dst's queue at the next barrier. The
+  // first entry for `dst` in a window records dst in cross_dsts_, so the
+  // barrier visits only the outboxes that were written.
+  void StageCross(std::uint32_t dst, Tick when, EventCallback&& fn) {
+    std::vector<CrossEvent>& box = outbox_[dst];
+    if (box.empty()) {
+      cross_dsts_.push_back(dst);
+    }
+    box.emplace_back(when, cross_seq_++, std::move(fn));
   }
 
-  void StageGlobal(Tick when, EventCallback fn) {
-    global_staging_.push_back(CrossEvent{when, global_seq_++, std::move(fn)});
+  void StageGlobal(Tick when, EventCallback&& fn) {
+    global_staging_.emplace_back(when, global_seq_++, std::move(fn));
   }
 
   // The pre-group single-queue run loops (also the group's per-shard window
@@ -274,6 +280,7 @@ class Engine {
   std::uint64_t global_seq_ = 0;   // global events ever staged by this shard
   std::uint64_t cross_cancels_refused_ = 0;
   std::vector<std::vector<CrossEvent>> outbox_;  // indexed by destination shard
+  std::vector<std::uint32_t> cross_dsts_;        // destinations with a nonempty outbox
   std::vector<CrossEvent> global_staging_;
   Rng rng_{0x9E3779B97F4A7C15ULL};  // reseeded per shard in group mode
 

@@ -4,31 +4,33 @@
 // scheduled (FIFO within a tick), which keeps simulations reproducible
 // regardless of queue internals.
 //
-// Layout: a tick-bucketed calendar. Every distinct firing tick owns a bucket
-// holding an intrusively linked FIFO of pooled event records; a flat
-// open-addressing index maps tick -> bucket and a min-heap of distinct ticks
-// orders the buckets. The per-event cost is one pool reuse plus one hash
-// probe — heap traffic happens once per distinct tick, not once per event,
-// and within-tick delivery is a pointer chase. Callbacks are stored inline
-// in the records (EventCallback's buffer is sized for the simulator's
-// hot-path lambdas, e.g. flit deliveries capturing a whole Flit), so
-// steady-state scheduling performs no heap allocation.
+// Layout: a 4-ary min-heap of same-tick *runs*. A run is an intrusively
+// linked FIFO of pooled event records sharing one firing tick, keyed in the
+// heap by (tick, run creation order). A push joins the newest run of its
+// tick, found through a small direct-mapped table of recent ticks, or opens
+// a new run; a tick's older runs only hold earlier pushes, so the heap's
+// key order is exactly (tick, push order). Callbacks are stored inline in
+// the records (EventCallback's buffer is sized for the simulator's hot-path
+// lambdas, e.g. flit deliveries capturing a whole Flit), so steady-state
+// scheduling performs no heap allocation.
 //
-// Cancellation is O(1) and eager: the record is unlinked from its bucket and
-// recycled immediately instead of lingering until it surfaces, and a
-// generation tag embedded in the EventId makes stale handles harmless after
-// the record is reused.
+// Cancellation is O(1) and eager: the record is unlinked from its run and
+// recycled immediately, and a generation tag embedded in the EventId makes
+// stale handles harmless after the record is reused. A run emptied by
+// cancels leaves a stale heap entry that Pop skips; the heap is compacted
+// once stale entries outnumber live ones by more than kCompactSlack, so
+// far-future timeouts scheduled and cancelled by the thousand never pile
+// up in it.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -163,7 +165,7 @@ class EventCallback {
 
 class EventQueue {
  public:
-  EventQueue() : table_(kInitialTable) {}
+  EventQueue() : runs_(1) {}
 
   // Not copyable: callbacks capture references into the owning simulation.
   EventQueue(const EventQueue&) = delete;
@@ -173,20 +175,8 @@ class EventQueue {
   template <typename F>
   EventId Push(Tick when, F&& fn) {
     Record* r = AllocRecord();
-    r->when = when;
     r->fn.Emplace(std::forward<F>(fn));
-    r->in_queue = true;
-    Bucket* b = FindOrCreateBucket(when);
-    r->prev = b->tail;
-    r->next = nullptr;
-    if (b->tail != nullptr) {
-      b->tail->next = r;
-    } else {
-      b->head = r;
-    }
-    b->tail = r;
-    ++live_;
-    return MakeId(r);
+    return Enqueue(when, r);
   }
 
   // Inserts an already type-erased callback without re-wrapping it in a
@@ -194,46 +184,35 @@ class EventQueue {
   // larger than its own inline buffer). This is the cross-shard mailbox
   // delivery path, where callbacks arrive pre-erased from another shard's
   // outbox.
-  EventId PushCallback(Tick when, EventCallback fn) {
+  EventId PushCallback(Tick when, EventCallback&& fn) {
     Record* r = AllocRecord();
-    r->when = when;
     r->fn = std::move(fn);
-    r->in_queue = true;
-    Bucket* b = FindOrCreateBucket(when);
-    r->prev = b->tail;
-    r->next = nullptr;
-    if (b->tail != nullptr) {
-      b->tail->next = r;
-    } else {
-      b->head = r;
-    }
-    b->tail = r;
-    ++live_;
-    return MakeId(r);
+    return Enqueue(when, r);
   }
 
-  // Cancels a scheduled event: the record is unlinked from its tick bucket
-  // and recycled immediately. Returns false if the id is unknown, already
+  // Cancels a scheduled event: the record is unlinked from its run and
+  // recycled immediately. Returns false if the id is unknown, already
   // fired, or already cancelled.
   bool Cancel(EventId id) {
     Record* r = Resolve(id);
     if (r == nullptr) {
       return false;
     }
-    Bucket* b = FindBucket(r->when);
-    assert(b != nullptr && "queued record without a bucket");
+    Run& run = runs_[r->run];
     if (r->prev != nullptr) {
       r->prev->next = r->next;
     } else {
-      b->head = r->next;
+      run.head = r->next;
     }
     if (r->next != nullptr) {
       r->next->prev = r->prev;
     } else {
-      b->tail = r->prev;
+      run.tail = r->prev;
     }
-    if (b->head == nullptr) {
-      EraseBucket(b);
+    if (run.head == nullptr) {
+      CloseRun(r->run);  // its heap entry is now stale; Pop skips it
+      ++stale_;
+      CompactIfMostlyStale();
     }
     FreeRecord(r);
     --live_;
@@ -246,7 +225,8 @@ class EventQueue {
   // Time of the earliest live event. Must not be called when Empty().
   Tick NextTime() {
     assert(!Empty());
-    return CurrentBucket()->key;
+    DropStaleTop();
+    return heap_[0].when;
   }
 
   struct PoppedEvent {
@@ -259,19 +239,20 @@ class EventQueue {
   // Empty().
   PoppedEvent Pop() {
     assert(!Empty());
-    Bucket* b = CurrentBucket();
-    Record* r = b->head;
-    b->head = r->next;
-    if (b->head != nullptr) {
-      b->head->prev = nullptr;
+    DropStaleTop();
+    const std::uint32_t idx = heap_[0].run;
+    Run& run = runs_[idx];
+    const Tick when = run.when;
+    Record* r = run.head;
+    run.head = r->next;
+    if (run.head != nullptr) {
+      run.head->prev = nullptr;
     } else {
-      b->tail = nullptr;
-      // CurrentBucket guarantees b->key == ticks_.top(); retire the heap
-      // entry with the drained bucket so it never resurfaces stale.
-      ticks_.pop();
-      EraseBucket(b);
+      CloseRun(idx);
+      HeapPopTop();
+      CompactIfMostlyStale();
     }
-    PoppedEvent out{b->key, MakeId(r), std::move(r->fn)};
+    PoppedEvent out{when, MakeId(r), std::move(r->fn)};
     FreeRecord(r);
     --live_;
     return out;
@@ -284,30 +265,43 @@ class EventQueue {
   std::size_t AllocatedRecords() const { return record_count_; }
   std::size_t FreeRecords() const { return free_count_; }
 
+  // Run-heap entries, live and stale. Compaction keeps this at most
+  // 2 * Size() + kCompactSlack however many events are cancelled.
+  std::size_t HeapEntries() const { return heap_.size(); }
+
+  static constexpr std::size_t kCompactSlack = 64;
+
  private:
   friend class AuditTestPeer;  // seeded-corruption hook for audit tests
 
   static constexpr std::size_t kChunkShift = 7;  // 128 records per pool chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-  static constexpr std::size_t kInitialTable = 64;  // power of two
+  static constexpr unsigned kRecentBits = 8;  // recent-tick hint table size
+  static constexpr std::size_t kRecentSize = std::size_t{1} << kRecentBits;
 
   struct Record {
-    Tick when = 0;
     std::uint32_t gen = 1;
     std::uint32_t slot = 0;
+    std::uint32_t run = 0;  // index into runs_ while queued
+    bool in_queue = false;
     Record* prev = nullptr;
     Record* next = nullptr;
-    bool in_queue = false;
     EventCallback fn;
   };
 
-  enum : std::uint8_t { kSlotEmpty = 0, kSlotUsed = 1, kSlotTomb = 2 };
-
-  struct Bucket {
-    Tick key = 0;
+  // A FIFO of records sharing one firing tick. `seq` is the run's creation
+  // order (its heap tie-break and incarnation tag); 0 marks a closed run.
+  struct Run {
+    Tick when = 0;
+    std::uint64_t seq = 0;
     Record* head = nullptr;
     Record* tail = nullptr;
-    std::uint8_t state = kSlotEmpty;
+  };
+
+  struct HeapEntry {
+    Tick when;
+    std::uint64_t seq;
+    std::uint32_t run;
   };
 
   static EventId MakeId(const Record* r) {
@@ -328,32 +322,6 @@ class EventQueue {
       return nullptr;
     }
     return r;
-  }
-
-  // Removes a drained bucket from the index. A tombstone is only required
-  // when the next probe slot is occupied (a later probe chain may pass
-  // through here); otherwise the slot reverts to empty and any contiguous
-  // run of tombstones ending at it is cleaned up too. This keeps workloads
-  // that touch each tick once (the common monotone-time pattern) entirely
-  // tombstone-free, so the table never needs churn-driven rebuilds.
-  void EraseBucket(Bucket* b) {
-    b->head = nullptr;
-    b->tail = nullptr;
-    --table_used_;
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(b - table_.data());
-    if (table_[(i + 1) & mask].state != kSlotEmpty) {
-      b->state = kSlotTomb;
-      ++table_tombs_;
-      return;
-    }
-    b->state = kSlotEmpty;
-    std::size_t j = (i + mask) & mask;
-    while (table_tombs_ > 0 && table_[j].state == kSlotTomb) {
-      table_[j].state = kSlotEmpty;
-      --table_tombs_;
-      j = (j + mask) & mask;
-    }
   }
 
   Record* AllocRecord() {
@@ -392,117 +360,148 @@ class EventQueue {
     free_count_ += kChunkSize;
   }
 
-  static std::size_t HashTick(Tick t) {
-    std::uint64_t x = t + 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return static_cast<std::size_t>(x ^ (x >> 31));
+  // Appends `r` to the newest run of its tick, opening a run when the hint
+  // table does not name one. The hint needs no tag of its own: every run
+  // for tick t is opened through t's slot, so a slot naming an open run
+  // whose tick is t names t's newest run. A miss (slot overwritten by a
+  // colliding tick) only opens a newer run; the older one keeps its earlier
+  // pushes, so (tick, run seq, position) is still (tick, push order).
+  EventId Enqueue(Tick when, Record* r) {
+    std::uint32_t& hint =
+        recent_[static_cast<std::size_t>((when * 0x9E3779B97F4A7C15ULL) >> (64 - kRecentBits))];
+    if (runs_[hint].seq == 0 || runs_[hint].when != when) {
+      hint = OpenRun(when);
+    }
+    Run& run = runs_[hint];
+    r->run = hint;
+    r->in_queue = true;
+    r->prev = run.tail;
+    if (run.tail != nullptr) {
+      run.tail->next = r;
+    } else {
+      run.head = r;
+    }
+    run.tail = r;
+    ++live_;
+    return MakeId(r);
   }
 
-  Bucket* FindBucket(Tick when) {
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = HashTick(when) & mask;
-    for (;;) {
-      Bucket& b = table_[i];
-      if (b.state == kSlotEmpty) {
-        return nullptr;
-      }
-      if (b.state == kSlotUsed && b.key == when) {
-        return &b;
-      }
-      i = (i + 1) & mask;
+  std::uint32_t OpenRun(Tick when) {
+    std::uint32_t idx;
+    if (!free_runs_.empty()) {
+      idx = free_runs_.back();
+      free_runs_.pop_back();
+    } else {
+      idx = static_cast<std::uint32_t>(runs_.size());
+      runs_.emplace_back();
+    }
+    Run& run = runs_[idx];
+    run.when = when;
+    run.seq = ++run_seq_;
+    HeapPush(HeapEntry{when, run.seq, idx});
+    return idx;
+  }
+
+  void CloseRun(std::uint32_t idx) {
+    Run& run = runs_[idx];
+    run.seq = 0;
+    run.head = nullptr;
+    run.tail = nullptr;
+    free_runs_.push_back(idx);
+  }
+
+  bool IsStale(const HeapEntry& e) const { return runs_[e.run].seq != e.seq; }
+
+  void DropStaleTop() {
+    while (IsStale(heap_[0])) {
+      HeapPopTop();
+      --stale_;
     }
   }
 
-  Bucket* FindOrCreateBucket(Tick when) {
-    if ((table_used_ + table_tombs_ + 1) * 2 > table_.size()) {
-      Rehash();
+  // Rebuilds the heap without its stale entries once they outnumber the
+  // live ones (plus a slack that keeps small queues from compacting on
+  // every cancel). Amortized O(1): reaching the threshold again takes as
+  // many cancels and pops as the rebuilt heap holds entries.
+  void CompactIfMostlyStale() {
+    if (stale_ <= heap_.size() - stale_ + kCompactSlack) {
+      return;
     }
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = HashTick(when) & mask;
-    std::size_t first_tomb = table_.size();
+    std::size_t n = 0;
+    for (const HeapEntry& e : heap_) {
+      if (!IsStale(e)) {
+        heap_[n++] = e;
+      }
+    }
+    heap_.resize(n);
+    stale_ = 0;
+    for (std::size_t i = n > 1 ? (n - 2) / 4 + 1 : 0; i-- > 0;) {
+      SiftDown(i, heap_[i]);
+    }
+  }
+
+  // 4-ary min-heap on (when, seq). Keys are unique, so the pop order never
+  // depends on the heap's shape or history.
+  static bool Before(const HeapEntry& a, const HeapEntry& b) {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
+
+  void HeapPush(const HeapEntry& e) {
+    std::size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!Before(e, heap_[parent])) {
+        break;
+      }
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+
+  void HeapPopTop() {
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      SiftDown(0, last);
+    }
+  }
+
+  // Places `e` at or below position i.
+  void SiftDown(std::size_t i, const HeapEntry e) {
+    const std::size_t n = heap_.size();
     for (;;) {
-      Bucket& b = table_[i];
-      if (b.state == kSlotUsed && b.key == when) {
-        hot_idx_ = i;
-        return &b;
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) {
+        break;
       }
-      if (b.state == kSlotTomb && first_tomb == table_.size()) {
-        first_tomb = i;
-      }
-      if (b.state == kSlotEmpty) {
-        const std::size_t slot = first_tomb != table_.size() ? first_tomb : i;
-        Bucket& nb = table_[slot];
-        if (nb.state == kSlotTomb) {
-          --table_tombs_;
+      const std::size_t end = first + 4 < n ? first + 4 : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (Before(heap_[c], heap_[best])) {
+          best = c;
         }
-        nb.state = kSlotUsed;
-        nb.key = when;
-        nb.head = nullptr;
-        nb.tail = nullptr;
-        ++table_used_;
-        hot_idx_ = slot;
-        ticks_.push(when);
-        return &nb;
       }
-      i = (i + 1) & mask;
+      if (!Before(heap_[best], e)) {
+        break;
+      }
+      heap_[i] = heap_[best];
+      i = best;
     }
-  }
-
-  void Rehash() {
-    // Grow when genuinely full; recycle tombstones in place otherwise.
-    std::size_t new_size = table_.size();
-    if ((table_used_ + 1) * 4 > table_.size()) {
-      new_size *= 2;
-    }
-    std::vector<Bucket> fresh(new_size);
-    const std::size_t mask = new_size - 1;
-    for (const Bucket& b : table_) {
-      if (b.state != kSlotUsed) {
-        continue;
-      }
-      std::size_t i = HashTick(b.key) & mask;
-      while (fresh[i].state == kSlotUsed) {
-        i = (i + 1) & mask;
-      }
-      fresh[i] = b;
-    }
-    table_.swap(fresh);
-    table_tombs_ = 0;
-  }
-
-  // Earliest bucket that still holds live events; discards heap entries
-  // whose bucket has been drained or cancelled away (duplicates from
-  // cancel-then-reschedule churn are dropped the same way). `hot_idx_` is a
-  // self-validating cache of the last bucket touched: bucket keys are
-  // unique, so if the cached slot is in use with the right key it IS the
-  // right bucket, even across rehashes — no invalidation protocol needed.
-  Bucket* CurrentBucket() {
-    for (;;) {
-      assert(!ticks_.empty());
-      const Tick t = ticks_.top();
-      Bucket& hot = table_[hot_idx_];
-      if (hot.state == kSlotUsed && hot.key == t) {
-        return &hot;
-      }
-      Bucket* b = FindBucket(t);
-      if (b != nullptr) {
-        hot_idx_ = static_cast<std::size_t>(b - table_.data());
-        return b;
-      }
-      ticks_.pop();
-    }
+    heap_[i] = e;
   }
 
   std::vector<std::unique_ptr<Record[]>> chunks_;  // stable pooled storage
   Record* free_ = nullptr;                         // free list threaded via next
   std::size_t record_count_ = 0;
   std::size_t free_count_ = 0;
-  std::vector<Bucket> table_;  // open-addressing tick -> bucket index
-  std::size_t hot_idx_ = 0;    // last bucket touched (see CurrentBucket)
-  std::size_t table_used_ = 0;
-  std::size_t table_tombs_ = 0;
-  std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>> ticks_;
+  std::vector<Run> runs_;  // runs_[0] stays closed: the hints' initial target
+  std::vector<std::uint32_t> free_runs_;
+  std::uint64_t run_seq_ = 0;
+  std::array<std::uint32_t, kRecentSize> recent_{};  // tick hash -> newest run
+  std::vector<HeapEntry> heap_;
+  std::size_t stale_ = 0;  // heap entries naming closed or reopened runs
   std::size_t live_ = 0;
 };
 

@@ -109,6 +109,7 @@ Engine& ShardedEngine::AddShard(const std::string& name) {
     s->group_solo_ = solo;
     s->outbox_.resize(shards_.size());
   }
+  inbound_.resize(shards_.size());
   return *shards_.back();
 }
 
@@ -292,9 +293,20 @@ void ShardedEngine::RunShardsOnWorker(std::uint32_t worker, Tick window_end) {
 
 void ShardedEngine::HarvestMailboxes(Tick window_end) {
   const auto n = static_cast<std::uint32_t>(shards_.size());
+  // Invert each source's written-destination list; visiting sources in
+  // index order leaves every inbound_[dst] ascending.
+  for (std::uint32_t src = 0; src < n; ++src) {
+    for (const std::uint32_t dst : shards_[src]->cross_dsts_) {
+      inbound_[dst].push_back(src);
+    }
+    shards_[src]->cross_dsts_.clear();
+  }
   for (std::uint32_t dst = 0; dst < n; ++dst) {
+    if (inbound_[dst].empty()) {
+      continue;
+    }
     merge_scratch_.clear();
-    for (std::uint32_t src = 0; src < n; ++src) {
+    for (const std::uint32_t src : inbound_[dst]) {
       for (auto& e : shards_[src]->outbox_[dst]) {
         if (e.when <= window_end) {
           // A component reached another domain faster than the minimum
@@ -311,9 +323,6 @@ void ShardedEngine::HarvestMailboxes(Tick window_end) {
         merge_scratch_.push_back(MergeEntry{e.when, src, e.seq, &e.fn});
       }
     }
-    if (merge_scratch_.empty()) {
-      continue;
-    }
     // Canonical merge order — (tick, source shard, source sequence) — keeps
     // the destination queue's same-tick FIFO order (and its EventId
     // allocation order) independent of worker-thread interleaving.
@@ -325,9 +334,10 @@ void ShardedEngine::HarvestMailboxes(Tick window_end) {
       shards_[dst]->queue_.PushCallback(entry.when, std::move(*entry.fn));
     }
     cross_delivered_ += merge_scratch_.size();
-    for (std::uint32_t src = 0; src < n; ++src) {
+    for (const std::uint32_t src : inbound_[dst]) {
       shards_[src]->outbox_[dst].clear();
     }
+    inbound_[dst].clear();
   }
 }
 

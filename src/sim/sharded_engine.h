@@ -14,8 +14,9 @@
 //     of its local events with tick <= window_end — in parallel, no locks,
 //     because nothing another domain does before window_end can reach it.
 //   * Events a shard schedules onto a *different* shard are staged in a
-//     per-(src,dst) outbox. At the barrier every mailbox is harvested and
-//     merged into the destination queue in (tick, source shard, sequence)
+//     per-(src,dst) outbox; a shard also lists the destinations it wrote.
+//     At the barrier the written mailboxes are harvested and merged into
+//     the destination queue in (tick, source shard, sequence)
 //     order — a canonical order independent of how many worker threads ran
 //     the window. An entry with tick <= window_end means some component
 //     violated the lookahead contract; the run aborts loudly.
@@ -187,6 +188,7 @@ class ShardedEngine {
     EventCallback* fn;
   };
   std::vector<MergeEntry> merge_scratch_;
+  std::vector<std::vector<std::uint32_t>> inbound_;  // per dst: sources with mail
 
   // Worker pool: persistent threads woken once per window. The coordinator
   // (the thread that called Run) doubles as worker 0.

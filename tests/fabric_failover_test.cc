@@ -316,6 +316,18 @@ TEST(MshrTest, FailedFlushStillCompletesAndIsCounted) {
   EXPECT_EQ(flushed, 1);
   EXPECT_EQ(rig.core.stats().writebacks_failed, 1u);
   EXPECT_EQ(rig.core.stats().poisoned, 0u);
+  // The store never became durable, so the line stays dirty...
+  EXPECT_TRUE(rig.core.l1().IsDirty(0x2000) || rig.core.l2().IsDirty(0x2000));
+
+  // ...and once the link is back the next flush writes it back.
+  rig.fea_link->Recover();
+  rig.core.FlushLine(0x2000, [&] { ++flushed; });
+  rig.engine.Run();
+  EXPECT_EQ(flushed, 2);
+  EXPECT_EQ(rig.core.stats().writebacks_to_memory, 2u);
+  EXPECT_EQ(rig.core.stats().writebacks_failed, 1u);
+  EXPECT_FALSE(rig.core.l1().IsDirty(0x2000) || rig.core.l2().IsDirty(0x2000));
+  EXPECT_TRUE(rig.engine.audit().Sweep().empty());
 }
 
 // --------------------------- Fault-plan parsing ---------------------------

@@ -433,6 +433,16 @@ TEST_F(NonCcTest, FailedFetchAndFlushCompleteWithoutCachingOrBumping) {
   EXPECT_EQ(flushes, 1);
   EXPECT_EQ(port_[0]->stats().failed_flushes, 1u);
   EXPECT_EQ(oracle_.Current(0x300), 0u);  // the write never reached the node
+
+  // The failed flush left the block dirty: after recovery a second flush
+  // delivers the write.
+  fea_link_->Recover();
+  port_[0]->FlushBlock(0x300, [&] { ++flushes; });
+  engine_.Run();
+  EXPECT_EQ(flushes, 2);
+  EXPECT_EQ(port_[0]->stats().failed_flushes, 1u);
+  EXPECT_EQ(oracle_.Current(0x300), 1u);
+  EXPECT_EQ(port_[0]->CachedVersion(0x300), 1u);
 }
 
 // ------------------------------ COMA -------------------------------------

@@ -4,7 +4,12 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -222,6 +227,223 @@ TEST(EventQueueTest, LargeCapturesAndReschedulingChurn) {
   EXPECT_EQ(seen, 77u);
   EXPECT_EQ(inline_seen, 5);
   EXPECT_EQ(big.use_count(), 1);  // the queue released its copy
+}
+
+// Reference model of the queue: a map keyed by (tick, push order), plus the
+// record pool's slot/generation/free-list arithmetic, so every EventId the
+// queue hands out is checked too.
+class ReferenceQueue {
+ public:
+  static constexpr std::uint32_t kChunk = 128;  // records per pool chunk
+
+  EventId Push(Tick when, int tag) {
+    if (free_.empty()) {
+      const auto base = static_cast<std::uint32_t>(gens_.size());
+      gens_.resize(gens_.size() + kChunk, 1);
+      for (std::uint32_t i = kChunk; i-- > 0;) {
+        free_.push_back(base + i);
+      }
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    const EventId id = (static_cast<EventId>(slot) + 1) << 32 | gens_[slot];
+    const Key key{when, next_order_++};
+    events_[key] = Entry{id, slot, tag};
+    keys_[id] = key;
+    return id;
+  }
+
+  bool Cancel(EventId id) {
+    auto it = keys_.find(id);
+    if (it == keys_.end()) {
+      return false;
+    }
+    Release(events_.at(it->second).slot);
+    events_.erase(it->second);
+    keys_.erase(it);
+    return true;
+  }
+
+  // (when, id, tag) of the earliest event, which is removed.
+  std::tuple<Tick, EventId, int> Pop() {
+    auto it = events_.begin();
+    const auto out = std::make_tuple(it->first.first, it->second.id, it->second.tag);
+    Release(it->second.slot);
+    keys_.erase(it->second.id);
+    events_.erase(it);
+    return out;
+  }
+
+  // Ids queued at tick `when`, in firing order.
+  std::vector<EventId> IdsAt(Tick when) const {
+    std::vector<EventId> ids;
+    for (auto it = events_.lower_bound(Key{when, 0}); it != events_.end() && it->first.first == when;
+         ++it) {
+      ids.push_back(it->second.id);
+    }
+    return ids;
+  }
+
+  std::vector<EventId> Ids() const {
+    std::vector<EventId> ids;
+    for (const auto& [key, entry] : events_) {
+      ids.push_back(entry.id);
+    }
+    return ids;
+  }
+
+  Tick NextTime() const { return events_.begin()->first.first; }
+  Tick TickOfEvent(std::size_t n) const { return std::next(events_.begin(), n)->first.first; }
+  std::size_t Size() const { return events_.size(); }
+  std::size_t Allocated() const { return gens_.size(); }
+  std::size_t Free() const { return free_.size(); }
+
+ private:
+  using Key = std::pair<Tick, std::uint64_t>;
+  struct Entry {
+    EventId id;
+    std::uint32_t slot;
+    int tag;
+  };
+
+  void Release(std::uint32_t slot) {
+    ++gens_[slot];
+    free_.push_back(slot);
+  }
+
+  std::map<Key, Entry> events_;
+  std::map<EventId, Key> keys_;
+  std::vector<std::uint32_t> gens_;  // per slot: generation of the next id
+  std::vector<std::uint32_t> free_;  // back = next slot handed out
+  std::uint64_t next_order_ = 0;
+};
+
+TEST(EventQueueTest, MatchesReferenceUnderRandomPushCancelPop) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::mt19937_64 rng(seed);
+    EventQueue q;
+    ReferenceQueue ref;
+    std::vector<EventId> retired;  // fired or cancelled: must stay dead
+    int fired_tag = -1;
+    int next_tag = 0;
+    Tick now = 0;
+    auto push = [&](Tick when) {
+      const int tag = next_tag++;
+      const EventId want = ref.Push(when, tag);
+      EventId got;
+      if (rng() % 3 == 0) {
+        got = q.PushCallback(when, EventCallback([&fired_tag, tag] { fired_tag = tag; }));
+      } else {
+        got = q.Push(when, [&fired_tag, tag] { fired_tag = tag; });
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " tag " << tag;
+    };
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t op = rng() % 100;
+      if (op < 30) {
+        // Near ticks, so pushes to one tick interleave; ticks spread over
+        // more values than the recent-tick table has slots, so a tick can
+        // get several runs; and a few far ones.
+        const std::uint64_t kind = rng() % 10;
+        push(now + (kind == 0 ? 5000 + rng() % 50 : kind < 4 ? 1 + rng() % 2048 : rng() % 6));
+      } else if (op < 38) {
+        const Tick when = now + rng() % 4;  // a burst at one tick
+        for (std::uint64_t n = 1 + rng() % 12; n > 0; --n) {
+          push(when);
+        }
+      } else if (op < 58 && ref.Size() > 0) {
+        // Cancel the head, middle or tail of the earliest tick, a near tick
+        // or the tick of a random queued event.
+        const std::uint64_t kind = rng() % 3;
+        const Tick when = kind == 0   ? ref.NextTime()
+                          : kind == 1 ? now + rng() % 6
+                                      : ref.TickOfEvent(rng() % ref.Size());
+        const std::vector<EventId> ids = ref.IdsAt(when);
+        if (!ids.empty()) {
+          const std::size_t pick[] = {0, ids.size() / 2, ids.size() - 1};
+          const EventId id = ids[pick[rng() % 3]];
+          ASSERT_TRUE(ref.Cancel(id));
+          ASSERT_TRUE(q.Cancel(id));
+          retired.push_back(id);
+        }
+      } else if (op < 64 && !retired.empty()) {
+        // Fired, cancelled and reused-slot ids never cancel anything.
+        const EventId id = retired[rng() % retired.size()];
+        ASSERT_FALSE(ref.Cancel(id));
+        ASSERT_FALSE(q.Cancel(id));
+      } else if (op < 66) {
+        ASSERT_FALSE(q.Cancel(kInvalidEventId));
+        ASSERT_FALSE(q.Cancel(rng()));
+      } else if (op == 66) {
+        // A cancel storm: most queued events go at once, so stale heap
+        // entries outnumber live ones and the heap is compacted.
+        for (const EventId id : ref.Ids()) {
+          if (rng() % 4 != 0) {
+            ASSERT_TRUE(ref.Cancel(id));
+            ASSERT_TRUE(q.Cancel(id));
+            retired.push_back(id);
+          }
+        }
+      } else if (ref.Size() > 0) {
+        ASSERT_EQ(q.NextTime(), ref.NextTime());
+        const auto [want_when, want_id, want_tag] = ref.Pop();
+        auto [when, id, fn] = q.Pop();
+        ASSERT_EQ(when, want_when);
+        ASSERT_EQ(id, want_id);
+        fn();
+        ASSERT_EQ(fired_tag, want_tag);
+        now = when;
+        retired.push_back(id);
+      }
+      ASSERT_EQ(q.Size(), ref.Size()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(q.AllocatedRecords(), ref.Allocated());
+      ASSERT_EQ(q.FreeRecords(), ref.Free());
+      if (ref.Size() > 0) {
+        ASSERT_EQ(q.NextTime(), ref.NextTime());
+      }
+    }
+    while (ref.Size() > 0) {
+      const auto [want_when, want_id, want_tag] = ref.Pop();
+      auto [when, id, fn] = q.Pop();
+      ASSERT_EQ(when, want_when);
+      ASSERT_EQ(id, want_id);
+      fn();
+      ASSERT_EQ(fired_tag, want_tag);
+    }
+    EXPECT_TRUE(q.Empty());
+    EXPECT_EQ(q.FreeRecords(), q.AllocatedRecords());
+  }
+}
+
+TEST(EventQueueTest, CancelledDeadlinesDoNotAccumulate) {
+  // The MSHR pattern: every operation schedules its own distinct far-future
+  // deadline and cancels it when the operation completes a short while
+  // later. The queue's index must stay proportional to the live events, not
+  // to the deadlines cancelled since the earliest of them would have fired.
+  EventQueue q;
+  constexpr int kInFlight = 4;
+  constexpr Tick kDeadline = 250'000;
+  std::vector<EventId> deadline(kInFlight);
+  std::uint64_t op = 0;
+  int done_lane = -1;
+  auto start = [&](Tick now, int lane) {
+    const Tick latency = 50 + (op * 37) % 100;
+    q.Push(now + latency, [&done_lane, lane] { done_lane = lane; });
+    deadline[static_cast<std::size_t>(lane)] = q.Push(now + kDeadline + op++, [] {});
+  };
+  for (int lane = 0; lane < kInFlight; ++lane) {
+    start(0, lane);
+  }
+  for (int completions = 0; completions < 20000; ++completions) {
+    auto [when, id, fn] = q.Pop();
+    (void)id;
+    fn();
+    ASSERT_TRUE(q.Cancel(deadline[static_cast<std::size_t>(done_lane)]));
+    start(when, done_lane);
+    ASSERT_EQ(q.Size(), 2u * kInFlight);
+    ASSERT_LE(q.HeapEntries(), 2 * q.Size() + EventQueue::kCompactSlack)
+        << "after " << completions << " completions";
+  }
 }
 
 }  // namespace
